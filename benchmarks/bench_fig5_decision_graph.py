@@ -108,7 +108,7 @@ def test_fig5_collapsed_cycle_rows():
                 f"{trg.state_count / seconds:,.0f}",
             )
         )
-        record_bench(label, "decision-collapse-fold", None, trg.state_count, seconds)
+        record_bench(label, "decision-collapse-fold", trg.state_count, seconds)
 
     print()
     print("Generalized collapse — collapsed-cycle rows:")

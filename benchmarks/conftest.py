@@ -79,26 +79,50 @@ def best_timed(build, repetitions: int = 5):
 #: trajectory of every engine is tracked across PRs.
 _BENCH_RECORDS: list = []
 
+#: Measurements taken through :func:`measure_once`, by ``(workload, engine)``.
+_MEASURED: dict = {}
 
-def record_bench(workload: str, engine: str, workers, states: int, seconds: float, **extra) -> None:
+
+def record_bench(workload: str, engine: str, states: int, seconds: float, **extra) -> None:
     """Collect one engine-throughput measurement for the JSON report.
 
-    ``workers`` is ``None`` for single-process engines; ``seconds`` is the
-    best-of-N wall-clock the printed tables report, so the JSON numbers match
-    the human-readable output exactly.  ``extra`` keyword fields (e.g. the
-    warm-cache rows' ``speedup`` and ``cache_hit_rate``) are merged into the
-    record verbatim.
+    ``seconds`` is the best-of-N wall-clock the printed tables report, so the
+    JSON numbers match the human-readable output exactly.  ``extra`` keyword
+    fields (e.g. the warm-cache rows' ``speedup`` and ``cache_hit_rate``) are
+    merged into the record verbatim.  Each ``(workload, engine)`` pair may be
+    recorded once per session: a second row for the same pair would make the
+    report ambiguous, so it raises ``ValueError``.
     """
+    if any(
+        record["workload"] == workload and record["engine"] == engine
+        for record in _BENCH_RECORDS
+    ):
+        raise ValueError(f"duplicate benchmark row ({workload!r}, {engine!r})")
     record = {
         "workload": workload,
         "engine": engine,
-        "workers": workers,
         "states": states,
         "seconds": seconds,
         "states_per_second": (states / seconds) if seconds else None,
     }
     record.update(extra)
     _BENCH_RECORDS.append(record)
+
+
+def measure_once(workload: str, engine: str, build, repetitions: int = 5):
+    """Best-of-N ``build()`` for one ``(workload, engine)`` row, recorded once.
+
+    A baseline several comparisons share (e.g. the scalar compiled untimed
+    build) is timed and recorded on first use; later calls return that same
+    ``(seconds, graph)`` pair, so every table and the JSON report agree.
+    ``build`` must return a graph with a ``state_count``.
+    """
+    key = (workload, engine)
+    if key not in _MEASURED:
+        seconds, graph = best_timed(build, repetitions=repetitions)
+        record_bench(workload, engine, graph.state_count, seconds)
+        _MEASURED[key] = (seconds, graph)
+    return _MEASURED[key]
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -65,8 +65,8 @@ class AnalysisSession:
 
     Stage parameters that select *what* is computed (``max_states``, rates,
     capacities, time units, constraint sets) participate in cache keys.
-    Parameters that only select *how* (``engine=``, ``workers=`` — all
-    engines are bit-identical by the differential gate) do not: they steer
+    Parameters that only select *how* (``engine=`` — all engines are
+    bit-identical by the differential gate) do not: they steer
     cold builds and are irrelevant on hits.
     """
 
@@ -132,7 +132,6 @@ class AnalysisSession:
         *,
         max_states: int = 100_000,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> TimedReachabilityGraph:
         """The (numeric or symbolic) timed reachability graph, cached.
 
@@ -143,8 +142,6 @@ class AnalysisSession:
         build_kwargs: Dict[str, object] = {"max_states": max_states}
         if engine is not None:
             build_kwargs["engine"] = engine
-        if workers is not None:
-            build_kwargs["workers"] = workers
 
         def build():
             if constraints is not None or net.is_symbolic:

@@ -19,8 +19,8 @@ The package layers that loop once instead of five times:
   per-semantics kernel protocol (``UntimedKernel``, ``GSPNKernel``,
   ``TimedKernel``), the shared ``max_states`` valves and the
   ``FrontierStats`` telemetry surfaced by the builders' ``build_stats()``.
-  Every builder below — including Karp–Miller coverability, which stays
-  sequential — runs through this one loop;
+  Every scalar builder below — including Karp–Miller coverability —
+  runs through this one loop;
 * :func:`~repro.engine.untimed.compiled_reachability_graph`,
   :func:`~repro.engine.untimed.compiled_coverability_graph` and
   :func:`~repro.engine.gspn.compiled_marking_graph` — the scalar compiled
@@ -30,20 +30,12 @@ The package layers that loop once instead of five times:
   (``engine="batched"`` for untimed reachability and the GSPN marking
   graph): whole frontiers expand as a ``(frontier × transitions)``
   enabledness mask with vectorized marking updates and packed-key dedup;
-* :mod:`repro.engine.parallel` — frontier-sharded **multiprocess** BFS for
-  the untimed reachability, GSPN marking-graph and *timed* reachability
-  constructions (``engine="parallel"``, ``workers=N``; the timed backend
-  covers both the numeric and the symbolic algebras), whose deterministic
-  merge renumbers cross-process discoveries into the exact sequential FIFO
-  order.  The workers execute the same frontier kernels as the sequential
-  builders;
 * :mod:`repro.engine.store` — the **disk-backed state store**
   (``store="disk"``, ``spill_threshold=N``): the frontier-core engines
   spill their dedup index and item log (and the batched kernel its dense
-  state matrix) into SQLite shards — selected by the same ``hash(vec) %
-  shards`` function the parallel engine shards workers with — once the
-  interned-state count crosses a threshold, so full builds continue past
-  RAM with bounded resident memory and bit-identical results;
+  state matrix) into SQLite shards once the interned-state count crosses a
+  threshold, so full builds continue past RAM with bounded resident memory
+  and bit-identical results;
 * :mod:`repro.engine.query` — **early-terminating queries**
   (``is_reachable``, ``bound_check``, ``find_deadlock``, predicate
   ``search``) that drive the same frontier loop with a stop predicate:
@@ -56,8 +48,8 @@ The package layers that loop once instead of five times:
   build bit-identically;
 * :mod:`repro.engine.faults` — the **fault-injection** hooks the
   robustness tests (and the CI fault-injection step) drive: crash at the
-  Nth expansion, transient/broken store writes, worker crashes at a given
-  BFS level, a stepping clock for deterministic deadline expiry.
+  Nth expansion, transient/broken store writes, a stepping clock for
+  deterministic deadline expiry.
 
 Each public builder that uses this engine keeps an ``engine="reference"``
 escape hatch and is required (by ``tests/test_engine_diff.py`` and
@@ -71,12 +63,6 @@ from typing import Optional, Sequence
 from .batched import batched_marking_graph, batched_reachability_graph
 from .frontier import FrontierStats, explore
 from .gspn import compiled_marking_graph
-from .parallel import (
-    parallel_marking_graph,
-    parallel_reachability_graph,
-    parallel_timed_reachability_graph,
-    resolve_workers,
-)
 from .query import (
     QueryResult,
     bound_check,
@@ -105,44 +91,32 @@ from .untimed import compiled_coverability_graph, compiled_reachability_graph
 #: Engine selection values shared by every builder with a compiled backend.
 ENGINE_COMPILED = "compiled"
 ENGINE_REFERENCE = "reference"
-ENGINE_PARALLEL = "parallel"
 ENGINE_BATCHED = "batched"
-ENGINES = (ENGINE_COMPILED, ENGINE_REFERENCE, ENGINE_PARALLEL, ENGINE_BATCHED)
-#: The single-process scalar engines every builder supports; builders
-#: without a sharded or batched backend (only Karp–Miller coverability now)
-#: pass this as ``supported=`` so an ``engine="parallel"`` or
-#: ``engine="batched"`` request fails with a precise message instead of a
-#: silent fallback.
-SEQUENTIAL_ENGINES = (ENGINE_COMPILED, ENGINE_REFERENCE)
-#: The engines of the timed builders, which support the sharded backend but
-#: not the batched one (see :data:`BATCHED_UNSUPPORTED_REASON`).
-TIMED_ENGINES = (ENGINE_COMPILED, ENGINE_REFERENCE, ENGINE_PARALLEL)
+ENGINES = (ENGINE_COMPILED, ENGINE_REFERENCE, ENGINE_BATCHED)
+#: The one-state-at-a-time engines every builder supports.  Builders without
+#: a batched backend (Karp–Miller coverability and the timed builders) pass
+#: this as ``supported=`` so an ``engine="batched"`` request fails with a
+#: precise message instead of a silent fallback.
+SCALAR_ENGINES = (ENGINE_COMPILED, ENGINE_REFERENCE)
 
-
-#: Call-site hint appended when a builder without a sharded backend rejects
-#: ``engine="parallel"`` (or ``engine="batched"``, which shares the
-#: constraint): every builder now runs the shared frontier loop of
-#: :mod:`repro.engine.frontier`, but the Karp–Miller acceleration rule
-#: inspects the BFS-tree ancestor chain of each work vector — per-path
-#: history that neither the frontier-sharded workers nor the level-batched
-#: mask can carry — so the coverability builder stays sequential.
-PARALLEL_UNSUPPORTED_REASON = (
-    "every builder runs the shared frontier loop of repro.engine.frontier, "
-    "but the Karp–Miller acceleration rule walks the BFS-tree ancestor chain "
-    "of each work vector, so the coverability builder stays sequential "
-    "(no sharded or batched backend)"
+#: Call-site hint appended when the coverability builder rejects
+#: ``engine="batched"``: the Karp–Miller acceleration rule inspects the
+#: BFS-tree ancestor chain of each work vector — per-path history the
+#: level-batched mask cannot carry.
+COVERABILITY_UNSUPPORTED_REASON = (
+    "the Karp–Miller acceleration rule walks the BFS-tree ancestor chain "
+    "of each work vector, which the level-batched kernel cannot carry"
 )
 
-#: Call-site hint appended when a builder rejects ``engine="batched"``: the
-#: level-batched kernel expands frontiers of plain token vectors through a
-#: ``(frontier × transitions)`` enabledness mask; timed states carry
-#: per-state clock vectors (remaining enabling/firing times) the mask cannot
-#: represent.
+#: Call-site hint appended when a timed builder rejects ``engine="batched"``:
+#: the level-batched kernel expands frontiers of plain token vectors through
+#: a ``(frontier × transitions)`` enabledness mask; timed states carry
+#: per-state clock vectors the mask cannot represent.
 BATCHED_UNSUPPORTED_REASON = (
     "the batched kernel expands whole frontiers of plain token vectors; "
     "timed states carry per-state clock vectors the "
     "(frontier x transitions) enabledness mask cannot represent, so the "
-    "timed builders support the scalar and parallel engines only"
+    "timed builders support the scalar engines only"
 )
 
 
@@ -168,14 +142,12 @@ def check_engine(
 
 __all__ = [
     "BATCHED_UNSUPPORTED_REASON",
+    "COVERABILITY_UNSUPPORTED_REASON",
     "ENGINE_BATCHED",
     "ENGINE_COMPILED",
-    "ENGINE_PARALLEL",
     "ENGINE_REFERENCE",
     "ENGINES",
-    "PARALLEL_UNSUPPORTED_REASON",
-    "SEQUENTIAL_ENGINES",
-    "TIMED_ENGINES",
+    "SCALAR_ENGINES",
     "CancellationToken",
     "Checkpoint",
     "DiskStateStore",
@@ -196,11 +168,7 @@ __all__ = [
     "explore",
     "find_deadlock",
     "is_reachable",
-    "parallel_marking_graph",
-    "parallel_reachability_graph",
-    "parallel_timed_reachability_graph",
     "resolve_store",
-    "resolve_workers",
     "resume",
     "resume_query",
     "search",

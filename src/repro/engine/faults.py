@@ -1,17 +1,14 @@
 """Deterministic fault injection for the execution layer.
 
 The robustness machinery — checkpoints/resume in :mod:`repro.engine.runtime`,
-worker supervision in :mod:`repro.engine.parallel`, the locked-retry path in
-:mod:`repro.engine.store` — only earns its keep if failures can be produced
-on demand, at exact points, repeatably.  This module is that switchboard:
+the locked-retry path in :mod:`repro.engine.store` — only earns its keep if
+failures can be produced on demand, at exact points, repeatably.  This module
+is that switchboard:
 
-* :class:`FaultPlan` — a picklable description of *which* faults fire and
-  *when*: crash the build at expansion ``k`` (simulating a process kill),
-  raise on the Nth store write (transiently, as a SQLite "database is
-  locked" ``OperationalError`` consumed by the store's retry loop, or
-  terminally), hard-kill a parallel worker at BFS level ``k`` via
-  ``os._exit`` (no cleanup, no exception — exactly what a OOM kill or
-  segfault looks like to the supervisor).
+* :class:`FaultPlan` — a description of *which* faults fire and *when*:
+  crash the build at expansion ``k`` (simulating a process kill), raise on
+  the Nth store write (transiently, as a SQLite "database is locked"
+  ``OperationalError`` consumed by the store's retry loop, or terminally).
 * :func:`inject` / :func:`install` / :func:`clear` — process-global plan
   installation.  The hooks compile to a single module-global ``None`` check
   when no plan is active, so production builds pay nothing.
@@ -20,20 +17,15 @@ on demand, at exact points, repeatably.  This module is that switchboard:
   by a fixed step, so "deadline expires after exactly N control checks" is
   reproducible on any machine, however fast.
 
-Worker processes do not inherit the installed plan under the ``spawn`` start
-method; the parallel coordinator captures :func:`active` once and ships the
-plan to each worker explicitly, where it is re-installed.
-
 The test suite and the CI fault-injection step drive everything here; the
 module itself never fires a fault unless a plan was installed.
 """
 
 from __future__ import annotations
 
-import os
 import sqlite3
 from contextlib import contextmanager
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class InjectedFailure(Exception):
@@ -46,7 +38,7 @@ class InjectedFailure(Exception):
 
 
 class FaultPlan:
-    """A picklable schedule of injected failures.
+    """A schedule of injected failures.
 
     Parameters
     ----------
@@ -64,15 +56,6 @@ class FaultPlan:
         transient ones) raises a non-transient
         ``sqlite3.OperationalError``, which must surface as a
         :class:`~repro.exceptions.StoreError`.
-    crash_worker:
-        ``(worker_id, level)``: that parallel worker hard-exits
-        (``os._exit(1)``) when it starts BFS round ``level``.
-    crash_worker_repeats:
-        How many times the worker crash fires (respawned workers re-install
-        the plan; counting happens coordinator-side by decrementing
-        ``remaining`` before shipping).  ``1`` (default) exercises
-        transparent recovery; a large value exhausts the supervisor's
-        retry budget and forces degradation to the sequential engine.
     """
 
     def __init__(
@@ -81,14 +64,10 @@ class FaultPlan:
         crash_at_expansion: Optional[int] = None,
         locked_writes: int = 0,
         broken_write_at: Optional[int] = None,
-        crash_worker: Optional[Tuple[int, int]] = None,
-        crash_worker_repeats: int = 1,
     ):
         self.crash_at_expansion = crash_at_expansion
         self.locked_writes = locked_writes
         self.broken_write_at = broken_write_at
-        self.crash_worker = crash_worker
-        self.crash_worker_repeats = crash_worker_repeats
         self._writes_seen = 0
 
     # -- hook implementations (called through the module-level guards) ---
@@ -112,16 +91,6 @@ class FaultPlan:
         ):
             raise sqlite3.OperationalError("injected non-transient write failure")
 
-    def worker_round(self, worker_id: int, round_no: int) -> None:
-        """Fired by each parallel worker at the start of a BFS round."""
-        if self.crash_worker is None:
-            return
-        victim, level = self.crash_worker
-        if worker_id == victim and round_no >= level:
-            # A hard exit, not an exception: the worker vanishes without a
-            # result message, exactly like a kill -9 / OOM / segfault.
-            os._exit(1)
-
 
 #: The active plan, or ``None``.  Hooks check this one global first so the
 #: disabled case costs a single attribute load.
@@ -137,11 +106,6 @@ def install(plan: Optional[FaultPlan]) -> None:
 def clear() -> None:
     """Remove any installed plan."""
     install(None)
-
-
-def active() -> Optional[FaultPlan]:
-    """The currently installed plan, or ``None``."""
-    return _PLAN
 
 
 @contextmanager
@@ -170,12 +134,6 @@ def on_store_write() -> None:
         _PLAN.store_write()
 
 
-def on_worker_round(worker_id: int, round_no: int) -> None:
-    """Parallel-worker hook, fired at the start of each BFS round."""
-    if _PLAN is not None:
-        _PLAN.worker_round(worker_id, round_no)
-
-
 class SteppingClock:
     """A deterministic monotonic clock: each reading advances by ``step``.
 
@@ -198,11 +156,9 @@ __all__ = [
     "FaultPlan",
     "InjectedFailure",
     "SteppingClock",
-    "active",
     "clear",
     "inject",
     "install",
     "on_expansion",
     "on_store_write",
-    "on_worker_round",
 ]

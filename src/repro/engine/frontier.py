@@ -4,28 +4,27 @@ Historically each compiled builder carried its own copy of the same BFS
 skeleton — intern the seed, expand states in FIFO order, deduplicate
 successors, append edges, enforce a ``max_states`` valve:
 :mod:`repro.engine.untimed` (reachability *and* Karp–Miller coverability),
-:mod:`repro.engine.gspn`, :mod:`repro.reachability.compiled` and the worker
-loop of :mod:`repro.engine.parallel` all re-implemented it.  This module
-factors that loop out once:
+:mod:`repro.engine.gspn` and :mod:`repro.reachability.compiled` all
+re-implemented it.  This module factors that loop out once:
 
-* :func:`explore` — the generic sequential frontier loop.  It is the single
-  place that owns the FIFO contract every engine is held to: the seed is
+* :func:`explore` — the one scalar frontier loop, serving in-memory,
+  store-backed, early-terminating (query) and controlled (deadline,
+  cancellation, checkpoint) runs alike.  It is the single place that owns
+  the FIFO contract every engine is held to: the seed is
   interned first, states are expanded in interning order, successors are
   interned before their edge is reported (in the kernel's emission order),
   and the ``max_states`` valve fires *after* the edge that pushed the count
   over the limit — bit for bit the behaviour of the historical per-builder
   loops.
 * the **kernel protocol** — the per-semantics part.  A kernel provides
-  ``seed()`` and ``expand(index, item) -> iterable[(edge_data, successor)]``;
-  kernels that also serve the frontier-sharded multiprocess engine
-  additionally provide ``identity``/``shard_vec``/``adopt``/``record`` (see
-  :mod:`repro.engine.parallel`).  :class:`UntimedKernel`,
-  :class:`GSPNKernel` and :class:`TimedKernel` live here so the sequential
-  and parallel builders expand states through literally the same code.
+  ``seed()`` and ``expand(index, item) -> iterable[(edge_data, successor)]``.
+  :class:`UntimedKernel`, :class:`GSPNKernel` and :class:`TimedKernel` live
+  here so the builders, the query layer and resume expand states through
+  literally the same code.
 * :class:`ExploreLimits` — the ``max_states`` valve with its
   builder-specific :class:`~repro.exceptions.UnboundedNetError` message
-  (one constructor per graph family, so sequential, parallel and batched
-  backends fail with identical messages).
+  (one constructor per graph family, so the scalar and batched backends
+  fail with identical messages).
 * :class:`FrontierStats` — construction telemetry (states/second, mean
   batch width, dedup hit rate) surfaced by the builders' ``build_stats()``.
 
@@ -164,7 +163,7 @@ def explore(
     checkpoint: Callable[[int], None] = None,
     start_cursor: int = 0,
 ) -> FrontierStats:
-    """The generic sequential frontier loop shared by every builder.
+    """The generic frontier loop shared by every scalar builder.
 
     ``kernel`` provides the semantics (``seed()`` and
     ``expand(index, item)``); ``intern(item, parent_index)`` deduplicates a
@@ -192,84 +191,16 @@ def explore(
     invoked with the cursor whenever a periodic checkpoint is due, and
     ``start_cursor`` resumes expansion mid-log — item ``[0, start_cursor)``
     are taken as already expanded, which is exactly the state a checkpoint
-    captures.
+    captures.  Control checks, periodic checkpoints and injected faults all
+    happen at item boundaries (before an expansion), so an interrupted log
+    is always a clean prefix of the uninterrupted one.
 
-    The FIFO contract, preserved bit for bit from the historical
-    per-builder loops: items are expanded in interning order, each
+    The FIFO contract: items are expanded in interning order, each
     successor is interned before its edge is reported, and the valve fires
     after the edge that pushed the count over ``limits``.
     """
     if stats is None:
         stats = FrontierStats(engine="scalar")
-    if store is not None or stop is not None or control is not None:
-        return _explore_general(
-            kernel,
-            intern,
-            on_edge,
-            limits,
-            stats,
-            store=store,
-            stop=stop,
-            control=control,
-            checkpoint=checkpoint,
-            start_cursor=start_cursor,
-        )
-    start = time.perf_counter()
-    items: List[object] = []
-    seed = kernel.seed()
-    _index, seed_new = intern(seed, -1)
-    if seed_new:
-        items.append(seed)
-    cursor = 0
-    edges = 0
-    hits = 0
-    while cursor < len(items):
-        index = cursor
-        cursor += 1
-        item = items[index]
-        for data, successor in kernel.expand(index, item):
-            target, is_new = intern(successor, index)
-            on_edge(index, target, data)
-            edges += 1
-            if is_new:
-                items.append(successor)
-                limits.check(len(items))
-            else:
-                hits += 1
-    stats.states = len(items)
-    stats.edges = edges
-    stats.expanded = len(items)
-    stats.batches = len(items)
-    stats.dedup_hits = hits
-    stats.seconds = time.perf_counter() - start
-    return stats
-
-
-def _explore_general(
-    kernel,
-    intern,
-    on_edge,
-    limits: ExploreLimits,
-    stats: FrontierStats,
-    *,
-    store=None,
-    stop=None,
-    control=None,
-    checkpoint=None,
-    start_cursor: int = 0,
-) -> FrontierStats:
-    """The store-backed / early-terminating / controllable variant of
-    :func:`explore`.
-
-    Kept off the plain in-memory hot path: the dispatch in :func:`explore`
-    means full in-memory builds pay nothing for the extra capabilities.
-    The item FIFO is either the store's spillable log or a plain list;
-    everything else — expansion order, intern-before-edge, the valve firing
-    after the overflowing edge — mirrors the fast loop exactly.  Control
-    checks, periodic checkpoints and injected faults all happen at item
-    boundaries (before an expansion), so an interrupted log is always a
-    clean prefix of the uninterrupted one.
-    """
     start = time.perf_counter()
     if store is not None:
         append_item = store.append_item
@@ -279,7 +210,7 @@ def _explore_general(
         items: List[object] = []
         append_item = items.append
         item_at = items.__getitem__
-        item_count = lambda: len(items)  # noqa: E731
+        item_count = items.__len__
     halted = False
     interrupted = None
     seed = kernel.seed()
@@ -336,18 +267,6 @@ def _explore_general(
 # ---------------------------------------------------------------------------
 # Per-semantics kernels
 # ---------------------------------------------------------------------------
-#
-# Each kernel implements the sequential protocol (seed/expand) plus the
-# extra methods the frontier-sharded multiprocess engine needs to shard,
-# deduplicate and report work items across processes:
-#
-# * ``identity(item)`` — the hashable dedup key of an item,
-# * ``shard_vec(item)`` — the token vector whose deterministic hash picks
-#   the owning worker shard,
-# * ``adopt(item)`` — normalize an item received from a peer (only the
-#   seed arrives without a derived enabled set),
-# * ``record(item)`` — the payload shipped to the coordinator for a newly
-#   interned state.
 
 
 class UntimedKernel:
@@ -388,41 +307,13 @@ class UntimedKernel:
                 ),
             )
 
-    # -- frontier-sharded protocol --------------------------------------
-
-    def identity(self, item):
-        return item[0]
-
-    def shard_vec(self, item):
-        return item[0]
-
-    def adopt(self, item):
-        vec, enabled = item
-        if enabled is None:
-            # Only the seed entry arrives without a derived enabled set (it
-            # has no parent to derive from).
-            return (vec, self.tables.enabled_transitions(vec))
-        return item
-
-    def record(self, item):
-        return (item[0], None)
-
-    def revive(self, record):
-        # The record drops the enabled set (a pure function of the vector),
-        # so a respawned worker recomputes it — bit-identical to the derived
-        # one, exactly like ``adopt`` does for the seed.
-        vec, _extra = record
-        return (vec, self.tables.enabled_transitions(vec, memoize=self.memoize_enabled))
-
 
 class GSPNKernel(UntimedKernel):
     """GSPN race semantics: immediate preemption plus capacity truncation.
 
     Immediate transitions pre-empt timed ones (only the immediate members
     of the enabled set fire when any is enabled), and successors that would
-    exceed ``place_capacity`` tokens in any place are truncated away.  The
-    coordinator-side ``record`` payload carries the vanishing flag (an
-    immediate transition is enabled) alongside the vector.
+    exceed ``place_capacity`` tokens in any place are truncated away.
     """
 
     def __init__(self, tables: NetTables, *, is_immediate, place_capacity):
@@ -454,10 +345,6 @@ class GSPNKernel(UntimedKernel):
                 ),
             )
 
-    def record(self, item):
-        vec, enabled = item
-        return (vec, any(self.is_immediate[t] for t in enabled))
-
 
 class TimedKernel:
     """Figure-3 timed semantics over compiled timed states.
@@ -465,22 +352,11 @@ class TimedKernel:
     Wraps a :class:`~repro.reachability.compiled.CompiledSuccessorEngine`;
     edge data is the complete successor payload — delay, probability,
     fired/completed transitions, step kind and used-constraint labels —
-    computed with exact arithmetic, so sequential and worker-side
-    expansions are indistinguishable.
+    computed with exact arithmetic.
     """
 
     def __init__(self, engine):
         self.engine = engine
-
-    @classmethod
-    def from_tables(cls, compiled, *, overlap_policy):
-        """Wrap already-compiled tables (the multiprocess engine ships one
-        pickled :class:`~repro.reachability.compiled.CompiledNet` per worker
-        instead of recompiling)."""
-        # Imported lazily: repro.reachability imports this package.
-        from ..reachability.compiled import CompiledSuccessorEngine
-
-        return cls(CompiledSuccessorEngine.from_tables(compiled, overlap_policy=overlap_policy))
 
     def seed(self):
         return self.engine.initial_state()
@@ -498,23 +374,6 @@ class TimedKernel:
                 ),
                 edge.target,
             )
-
-    # -- frontier-sharded protocol --------------------------------------
-
-    def identity(self, item):
-        return item
-
-    def shard_vec(self, item):
-        return item.vec
-
-    def adopt(self, item):
-        return item
-
-    def record(self, item):
-        return item
-
-    def revive(self, record):
-        return record
 
 
 __all__ = [

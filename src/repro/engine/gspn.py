@@ -7,9 +7,9 @@ for later elimination, and an optional ``place_capacity`` truncates
 successors that would overflow a place.  The readable implementation
 re-resolves transitions by name and rescans the whole transition list per
 marking; this module runs the *same* exploration over integer token vectors
-through the shared frontier loop of :mod:`repro.engine.frontier` — the
-:class:`~repro.engine.frontier.GSPNKernel` here is the one the parallel
-workers execute, and :mod:`repro.engine.batched` vectorizes — producing
+through the shared frontier loop of :mod:`repro.engine.frontier` — with the
+:class:`~repro.engine.frontier.GSPNKernel` that :mod:`repro.engine.batched`
+vectorizes — producing
 bit-identical markings, edges and vanishing sets (enforced by
 ``tests/engine_diff.py``).
 """

@@ -494,10 +494,10 @@ def cancel_on_sigint(control: RunControl, *, reason: str = "interrupted (Ctrl-C)
 
     The build then stops at the next item/level boundary and writes its
     final checkpoint instead of unwinding through a ``KeyboardInterrupt``
-    (which would leave no checkpoint and, for the parallel engine, rely on
-    teardown alone).  A second SIGINT restores the previous handler, so an
-    unresponsive build can still be killed the usual way.  Outside the main
-    thread (where signal handlers cannot be installed) this is a no-op.
+    (which would leave no checkpoint).  A second SIGINT restores the
+    previous handler, so an unresponsive build can still be killed the
+    usual way.  Outside the main thread (where signal handlers cannot be
+    installed) this is a no-op.
     """
     try:
         previous = signal.getsignal(signal.SIGINT)

@@ -11,10 +11,9 @@ core of :mod:`repro.engine.frontier`:
   (zero overhead, bit-identical to the historical in-memory path by
   construction); once the interned-state count crosses the threshold the
   store **spills**: the dedup index moves into SQLite *shard* files selected
-  by the same deterministic ``hash(vec) % shards`` function the parallel
-  engine uses to pick a worker (:func:`repro.engine.parallel._shard_of` —
-  tuple-of-int hashing is not salted, so a spool written by one process can
-  be reopened by another), and the FIFO item log moves into a sequential
+  by the deterministic ``hash(vec) % shards`` function :func:`shard_of`
+  (tuple-of-int hashing is not salted, so a spool written by one process
+  can be reopened by another), and the FIFO item log moves into a sequential
   ``log.db`` keyed by state index.  Thereafter new writes are buffered and
   flushed in batches, so resident memory stays bounded by the threshold plus
   one flush batch while the BFS keeps going.
@@ -108,7 +107,7 @@ def locked_retry(
 
 
 def shard_of(key, shards: int) -> int:
-    """The owning shard of a state key — the parallel engine's function.
+    """The dedup shard file that owns a state key.
 
     Tuple-of-int hashing is deterministic across processes (hash
     randomization only salts str/bytes), so a spool directory written by one

@@ -159,7 +159,7 @@ class NetTables:
         transition numbering, so only nets that also declare in the same
         order may share.  Always yields a plain :class:`NetTables`;
         subclasses with their own constructor arguments (the timed engine's
-        ``CompiledNet``) keep a parallel content-keyed memo.
+        ``CompiledNet``) are constructed directly, outside this memo.
         """
         key = net_cache_key(net)
         tables = _SHARED_TABLES.get(key)
@@ -176,22 +176,19 @@ class NetTables:
         return tables
 
     # ------------------------------------------------------------------
-    # Pickling (multiprocess engine support)
+    # Pickling (artifact-cache disk tier)
     # ------------------------------------------------------------------
 
-    #: Per-process memo attributes replaced by empty dicts when pickling.
-    #: Subclasses that add memo tables (e.g. the timed engine's
-    #: :class:`~repro.reachability.compiled.CompiledNet`) extend this tuple
-    #: so their working sets are likewise not shipped to worker processes.
+    #: Memo attributes replaced by empty dicts when pickling.
     _TRANSIENT_CACHES: Tuple[str, ...] = ("_enabled_cache", "_matrix_cache")
 
     def __getstate__(self) -> dict:
         """Pickle the structural tables without the memoized working sets.
 
-        The parallel engine ships one :class:`NetTables` to every worker
-        process (explicitly under ``spawn``, copy-on-write under ``fork``);
-        the memo tables are per-process working sets that would only bloat
-        the payload, so each process restarts with empty caches.
+        The service's ``tables`` stage stores :class:`NetTables` in the
+        artifact cache's disk tier; the memo tables are working sets that
+        would only bloat the stored payload, so an unpickled copy restarts
+        with empty caches.
         """
         state = dict(self.__dict__)
         for name in self._TRANSIENT_CACHES:
@@ -232,8 +229,8 @@ class NetTables:
         Row ``t`` is the *guard row* of transition ``t``: a marking vector
         enables ``t`` iff it dominates the row component-wise, which is how
         the batched kernel tests a whole frontier against every transition
-        in one broadcast.  Built lazily and excluded from pickles (worker
-        processes re-derive it from the sparse arcs).
+        in one broadcast.  Built lazily and excluded from pickles (an
+        unpickled copy re-derives it from the sparse arcs).
         """
         matrix = self._matrix_cache.get("input")
         if matrix is None:

@@ -9,7 +9,7 @@ failure semantics — but run over integer token vectors from
 
 * reachability rides the stock :class:`~repro.engine.frontier.UntimedKernel`
   (incremental enabled-set maintenance, one :class:`Marking` per unique
-  node) — the same kernel the parallel workers and, in level-batched form,
+  node) — the same kernel the query layer and, in level-batched form,
   :mod:`repro.engine.batched` execute;
 * the Karp–Miller construction supplies its own kernel: work vectors stay
   integer-valued (``ω`` is the shared infinity marker, which compares
@@ -281,8 +281,8 @@ class _CoverabilityKernel:
     O(promotions + 1) numpy passes, and promotions are bounded by the place
     count.
 
-    The chain is also why the coverability builder has no sharded or
-    batched backend: the rule inspects per-path history that a stateless
+    The chain is also why the coverability builder has no batched
+    backend: the rule inspects per-path history that a level-batched
     frontier expansion cannot carry.  It *is* compatible with the disk
     store — see :class:`_AncestorArchive`.
     """

@@ -15,8 +15,7 @@ The hierarchy mirrors the subsystems described in ``DESIGN.md``:
 * performance-derivation errors (:class:`PerformanceError`)
 * simulation errors (:class:`SimulationError`)
 * execution-robustness errors (:class:`BuildInterruptedError`,
-  :class:`StoreError`, :class:`StoreCorruptionError`,
-  :class:`WorkerCrashError`)
+  :class:`StoreError`, :class:`StoreCorruptionError`)
 """
 
 from __future__ import annotations
@@ -165,7 +164,7 @@ class DeadlockError(SimulationError):
 
 
 # ---------------------------------------------------------------------------
-# Robust execution (checkpoints, supervision, durable stores)
+# Robust execution (checkpoints, durable stores)
 # ---------------------------------------------------------------------------
 
 
@@ -211,20 +210,3 @@ class StoreCorruptionError(StoreError):
         super().__init__(message)
         #: File name of the shard (or log) database that failed the probe.
         self.shard = shard
-
-
-class WorkerCrashError(ReproError):
-    """A parallel-engine worker died without reporting a result.
-
-    The supervisor retries the current BFS level on fresh workers (levels
-    are deterministic barriers, so a replay is safe); the public parallel
-    builders catch the error once retries are exhausted and degrade to the
-    sequential compiled engine with a :class:`RuntimeWarning`.
-    """
-
-    def __init__(self, message: str, *, worker_id: int = -1, exitcode=None):
-        super().__init__(message)
-        #: Index of the worker that died (``-1`` when unknown).
-        self.worker_id = worker_id
-        #: The dead process's exit code, when available.
-        self.exitcode = exitcode

@@ -78,10 +78,10 @@ class Marking(Mapping):
 
     def __reduce__(self):
         # Rebuild through the trusted constructor so the cached hash is
-        # recomputed in the receiving process: it hashes place-name strings,
-        # whose hashes are salted per process by PYTHONHASHSEED, so a shipped
-        # cache value would be wrong under the multiprocessing ``spawn``
-        # start method.
+        # recomputed in the reading process: it hashes place-name strings,
+        # whose hashes are salted per process by PYTHONHASHSEED, so a cached
+        # value pickled by another process (a disk-tier artifact read after
+        # a restart) would be wrong.
         return (Marking._trusted, (self._order, self._known, self._tokens))
 
     # ------------------------------------------------------------------

@@ -113,13 +113,6 @@ class _CompiledState:
             return NotImplemented
         return self.key == other.key
 
-    def __reduce__(self):
-        # Ship only the defining tuple; the receiving process rebuilds the
-        # derived key sets and computes its own hash (clock values may be
-        # symbolic expressions whose hashes are process-local — they re-intern
-        # on unpickle, so a shipped state dedups against local ones).
-        return (_CompiledState, (self.vec, self.ret, self.rft, self.enabled))
-
 
 class _CompiledEdge:
     """A successor edge in compiled form (indices still resolved to names)."""
@@ -167,11 +160,6 @@ class CompiledNet(NetTables):
         self._choice_cache: Dict[Tuple[int, Tuple[int, ...]], Tuple[Tuple[int, ProbabilityScalar], ...]] = {}
         self._advance_cache: Dict[tuple, tuple] = {}
 
-    #: The memo tables above are per-process working sets; like the base
-    #: class's enabled-set memo they are not shipped to worker processes
-    #: (see :meth:`NetTables.__getstate__`).
-    _TRANSIENT_CACHES = NetTables._TRANSIENT_CACHES + ("_choice_cache", "_advance_cache")
-
     # ------------------------------------------------------------------
     # Branch probabilities
     # ------------------------------------------------------------------
@@ -218,19 +206,9 @@ class CompiledSuccessorEngine:
         *,
         overlap_policy: str = OVERLAP_ERROR,
     ):
-        self._bind(CompiledNet(net, time_algebra, probability_algebra), overlap_policy)
-
-    @classmethod
-    def from_tables(cls, compiled: CompiledNet, *, overlap_policy: str = OVERLAP_ERROR):
-        """Wrap already-compiled tables (the multiprocess engine ships one
-        pickled :class:`CompiledNet` per worker instead of recompiling)."""
-        engine = cls.__new__(cls)
-        engine._bind(compiled, overlap_policy)
-        return engine
-
-    def _bind(self, compiled: CompiledNet, overlap_policy: str) -> None:
         if overlap_policy not in (OVERLAP_ERROR, OVERLAP_SKIP):
             raise ValueError(f"unknown overlap policy {overlap_policy!r}")
+        compiled = CompiledNet(net, time_algebra, probability_algebra)
         self.compiled = compiled
         self.net = compiled.net
         self.time = compiled.time
@@ -529,8 +507,7 @@ def build_compiled_graph(
     ``max_states`` semantics — but deduplicates on tuple keys, only
     materializes one :class:`TimedState` per unique node, and rides the
     shared frontier loop of :mod:`repro.engine.frontier` through a
-    :class:`~repro.engine.frontier.TimedKernel` (the same kernel the
-    parallel workers execute).
+    :class:`~repro.engine.frontier.TimedKernel`.
     """
     # Imported here to avoid a circular import (graph.py imports this module).
     from ..engine.frontier import FrontierStats, TimedKernel, explore, timed_limits

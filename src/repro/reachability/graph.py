@@ -27,9 +27,8 @@ import networkx as nx
 from ..engine import (
     BATCHED_UNSUPPORTED_REASON,
     ENGINE_COMPILED,
-    ENGINE_PARALLEL,
     ENGINE_REFERENCE,
-    TIMED_ENGINES,
+    SCALAR_ENGINES,
     check_engine,
 )
 from ..exceptions import UnboundedNetError
@@ -48,11 +47,8 @@ from .successors import OVERLAP_ERROR, STEP_ADVANCE, STEP_FIRE, SuccessorGenerat
 # Engine selection for the public graph builders is shared with the untimed
 # and GSPN builders through :mod:`repro.engine`.  The compiled engine is the
 # default; the reference engine keeps the readable, paper-shaped
-# implementation available for differential testing and debugging; the
-# frontier-sharded ``engine="parallel"`` backend runs the compiled procedure
-# across worker processes (clock vectors pickle as plain tuples, and
-# symbolic scalar values re-intern on unpickle through the hash-consing
-# layer of :mod:`repro.symbolic`).  All three produce bit-identical graphs.
+# implementation available for differential testing and debugging.  Both
+# produce bit-identical graphs.
 
 
 @dataclass(frozen=True)
@@ -382,7 +378,6 @@ def timed_reachability_graph(
     max_states: int = 100_000,
     overlap_policy: str = OVERLAP_ERROR,
     engine: str = ENGINE_COMPILED,
-    workers: Optional[int] = None,
 ) -> TimedReachabilityGraph:
     """Build the numeric timed reachability graph of a net (Section 2 / Figure 4).
 
@@ -391,35 +386,17 @@ def timed_reachability_graph(
 
     ``engine`` selects the construction backend: ``"compiled"`` (default)
     runs the integer-indexed engine of :mod:`repro.reachability.compiled`,
-    ``"reference"`` the readable name-based procedure, and ``"parallel"``
-    shards the compiled construction across ``workers`` processes
-    (:func:`repro.engine.parallel.parallel_timed_reachability_graph`;
-    default: one worker per CPU).  All three produce bit-identical graphs.
-    ``engine="batched"`` is rejected: timed states carry per-state clock
-    vectors the level-batched kernel cannot represent.
+    and ``"reference"`` the readable name-based procedure; both produce
+    bit-identical graphs.  ``engine="batched"`` is rejected: timed states
+    carry per-state clock vectors the level-batched kernel cannot represent.
     """
     if net.is_symbolic:
         raise ValueError(
             "net has symbolic annotations; use symbolic_timed_reachability_graph() "
             "with the declared timing constraints"
         )
-    check_engine(engine, supported=TIMED_ENGINES, reason=BATCHED_UNSUPPORTED_REASON)
+    check_engine(engine, supported=SCALAR_ENGINES, reason=BATCHED_UNSUPPORTED_REASON)
     time_algebra, probability_algebra = numeric_algebras()
-    if engine == ENGINE_PARALLEL:
-        from ..engine.parallel import parallel_timed_reachability_graph
-
-        return parallel_timed_reachability_graph(
-            net,
-            time_algebra,
-            probability_algebra,
-            symbolic=False,
-            constraints=None,
-            max_states=max_states,
-            overlap_policy=overlap_policy,
-            workers=workers,
-        )
-    if workers is not None:
-        raise ValueError("workers= is only meaningful with engine='parallel'")
     if engine == ENGINE_COMPILED:
         return build_compiled_graph(
             net,
@@ -443,7 +420,6 @@ def symbolic_timed_reachability_graph(
     max_states: int = 100_000,
     overlap_policy: str = OVERLAP_ERROR,
     engine: str = ENGINE_COMPILED,
-    workers: Optional[int] = None,
 ) -> TimedReachabilityGraph:
     """Build the symbolic timed reachability graph of a net (Section 3 / Figure 6).
 
@@ -454,35 +430,14 @@ def symbolic_timed_reachability_graph(
     the expressions that could not be ordered.
 
     ``engine`` selects the construction backend exactly as in
-    :func:`timed_reachability_graph`, including the frontier-sharded
-    ``"parallel"`` backend: symbolic clock expressions and probability
-    quotients ship across the process boundary through the hash-consing
-    layer of :mod:`repro.symbolic` (they re-intern on unpickle), and the
-    comparator's constraint bookkeeping is reproduced worker-side, so the
-    parallel graph carries the identical used-constraint labels.
-    ``engine="batched"`` is rejected exactly as in
-    :func:`timed_reachability_graph`.
+    :func:`timed_reachability_graph`; ``engine="batched"`` is rejected the
+    same way.
     """
     if not isinstance(constraints, ConstraintSet):
         constraints = ConstraintSet(list(constraints))
     constraints.assert_consistent()
-    check_engine(engine, supported=TIMED_ENGINES, reason=BATCHED_UNSUPPORTED_REASON)
+    check_engine(engine, supported=SCALAR_ENGINES, reason=BATCHED_UNSUPPORTED_REASON)
     time_algebra, probability_algebra = symbolic_algebras(constraints)
-    if engine == ENGINE_PARALLEL:
-        from ..engine.parallel import parallel_timed_reachability_graph
-
-        return parallel_timed_reachability_graph(
-            net,
-            time_algebra,
-            probability_algebra,
-            symbolic=True,
-            constraints=constraints,
-            max_states=max_states,
-            overlap_policy=overlap_policy,
-            workers=workers,
-        )
-    if workers is not None:
-        raise ValueError("workers= is only meaningful with engine='parallel'")
     if engine == ENGINE_COMPILED:
         return build_compiled_graph(
             net,

@@ -29,8 +29,8 @@ STAGES: Tuple[str, ...] = (
     "query",
 )
 
-#: Engines the service accepts for cold builds.  The multiprocess
-#: ``parallel`` engine is deliberately excluded: jobs run under a
+#: Engines the service accepts for cold builds.  The ``reference`` engine
+#: is deliberately excluded: jobs run under a
 #: :class:`~repro.engine.runtime.RunControl` (deadline, cancellation,
 #: checkpoints), which only the frontier-core engines support.
 SERVICE_ENGINES: Tuple[str, ...] = ("compiled", "batched")
@@ -43,8 +43,8 @@ QUERY_KINDS: Tuple[str, ...] = ("reachable", "bound", "deadlock")
 STAGE_PARAMS: Dict[str, frozenset] = {
     "tables": frozenset(),
     "untimed": frozenset({"max_states", "engine"}),
-    # The Karp–Miller construction has neither a batched nor a parallel
-    # backend (the omega rule is per-path), so no engine selection here.
+    # The Karp–Miller construction has no batched backend (the omega rule
+    # is per-path), so no engine selection here.
     "coverability": frozenset({"max_nodes"}),
     "gspn": frozenset({"max_states", "place_capacity", "rates", "engine"}),
     "decision": frozenset({"max_states", "fold_cycles"}),

@@ -16,7 +16,7 @@ DELETE    ``/jobs/<id>``          Cancel: immediate when queued, cooperative
                                   (next frontier boundary + final checkpoint)
                                   when running
 GET       ``/cache/stats``        Artifact-cache tiers + in-flight builds
-GET       ``/healthz``            Worker heartbeats, queue depth, job counts
+GET       ``/healthz``            Per-worker current job, queue depth, job counts
 ========  ======================  ==========================================
 
 Every handler thread shares the one :class:`JobManager` (and through it

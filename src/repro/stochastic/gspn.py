@@ -30,12 +30,11 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..engine import ENGINE_BATCHED, ENGINE_COMPILED, ENGINE_PARALLEL, check_engine
+from ..engine import ENGINE_BATCHED, ENGINE_COMPILED, check_engine
 from ..engine.batched import batched_marking_graph
 from ..engine.runtime import checkpoint_store
 from ..engine.store import resolve_store
 from ..engine.gspn import compiled_marking_graph
-from ..engine.parallel import parallel_marking_graph
 from ..exceptions import NotErgodicError, PerformanceError, StoreError, UnboundedNetError
 from ..petri.marking import Marking
 from ..petri.net import TimedPetriNet
@@ -93,21 +92,16 @@ class GSPNAnalysis:
         the integer-vector exploration of
         :func:`repro.engine.gspn.compiled_marking_graph`, ``"reference"``
         the readable marking-based exploration in this module,
-        ``"batched"`` the numpy level-batched kernel of
-        :func:`repro.engine.batched.batched_marking_graph`, and
-        ``"parallel"`` the frontier-sharded multiprocess exploration of
-        :func:`repro.engine.parallel.parallel_marking_graph`.  All backends
+        and ``"batched"`` the numpy level-batched kernel of
+        :func:`repro.engine.batched.batched_marking_graph`.  All backends
         produce bit-identical marking graphs and therefore identical
         stationary results.
-    workers:
-        Worker-process count for ``engine="parallel"`` (default: one per
-        CPU); rejected for the single-process engines.
     store:
         ``None`` (default), ``"disk"`` or a
         :class:`~repro.engine.store.DiskStateStore`: spill the exploration's
         dedup index and frontier past ``spill_threshold`` interned states to
         disk.  Supported by the frontier-core engines (``"compiled"`` and
-        ``"batched"``); rejected for ``"reference"`` and ``"parallel"``.
+        ``"batched"``); rejected for ``"reference"``.
     spill_threshold:
         Interned-state count above which a ``store="disk"`` spool moves to
         disk (defaults to the store's own default).
@@ -130,7 +124,6 @@ class GSPNAnalysis:
         max_states: int = 50_000,
         place_capacity: Optional[int] = None,
         engine: str = ENGINE_COMPILED,
-        workers: Optional[int] = None,
         store=None,
         spill_threshold: Optional[int] = None,
         control=None,
@@ -138,8 +131,6 @@ class GSPNAnalysis:
         if net.is_symbolic:
             raise PerformanceError("GSPN analysis requires a numeric net; bind symbols first")
         check_engine(engine)
-        if workers is not None and engine != ENGINE_PARALLEL:
-            raise ValueError("workers= is only meaningful with engine='parallel'")
         if store is not None and engine not in (ENGINE_COMPILED, ENGINE_BATCHED):
             raise ValueError(
                 "store= is only supported by the frontier-core engines "
@@ -154,7 +145,6 @@ class GSPNAnalysis:
         self.max_states = max_states
         self.place_capacity = place_capacity
         self.engine = engine
-        self.workers = workers
         self.store = store
         self.spill_threshold = spill_threshold
         self.control = control
@@ -226,16 +216,6 @@ class GSPNAnalysis:
                     store.close()
                 self._build_stats = stats_sink[0] if stats_sink else None
             return result
-        if self.engine == ENGINE_PARALLEL:
-            return parallel_marking_graph(
-                self.net,
-                immediate=self._immediate,
-                weights=self._weights,
-                rates=self._rates,
-                max_states=self.max_states,
-                place_capacity=self.place_capacity,
-                workers=self.workers,
-            )
         return self._explore_reference()
 
     def build_stats(self):

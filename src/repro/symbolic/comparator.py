@@ -86,23 +86,6 @@ class SymbolicComparator:
         self._cache_evictions = 0
 
     # ------------------------------------------------------------------
-    # Pickling (the multiprocess timed engine ships comparators to workers)
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        # The entailment memo is a per-process working set: shipping it would
-        # bloat the payload with LinExpr keys, so workers restart cold.
-        state = dict(self.__dict__)
-        state["_entailment_cache"] = OrderedDict()
-        state["_cache_hits"] = 0
-        state["_cache_misses"] = 0
-        state["_cache_evictions"] = 0
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    # ------------------------------------------------------------------
     # Primitive entailment queries (cached)
     # ------------------------------------------------------------------
 

@@ -5,11 +5,11 @@
 :class:`~repro.symbolic.polynomial.Polynomial` and
 :class:`~repro.symbolic.ratfunc.RatFunc` intern *on demand* through their
 ``interned()`` methods (and automatically on unpickling, so expressions
-shipped across the multiprocess engine's process boundary dedup against
+read back from the artifact codec or the cache's disk tier dedup against
 local instances by identity).  Interning is advisory — structural equality
 is never replaced — but interned instances turn every dictionary probe into
 an identity hit and carry cached hashes, which is what the symbolic
-comparator's memo tables and the frontier-sharded timed engine lean on.
+comparator's memo tables lean on.
 
 This module is the one place that sees all four tables: it reports their
 sizes, hit rates and evictions (:func:`intern_stats`), rebounds the

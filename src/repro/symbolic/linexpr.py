@@ -74,8 +74,8 @@ class LinExpr:
     #: ``(sorted terms, constant)`` key.  Interning is *advisory* — equality
     #: stays structural — but interned instances make every dictionary probe
     #: an identity hit (dict lookup checks ``is`` before ``==``) and carry a
-    #: cached hash, which is what the symbolic comparator's memo tables and
-    #: the multiprocess engine's cross-shard dedup lean on.  The table is
+    #: cached hash, which is what the symbolic comparator's memo tables
+    #: lean on.  The table is
     #: LRU-bounded (long-running services must not grow memory without
     #: limit); evicting a canonical instance is harmless because interning
     #: is advisory — the evicted instance stays valid wherever referenced and
@@ -137,7 +137,7 @@ class LinExpr:
         The first expression with a given ``(terms, constant)`` content
         becomes the canonical instance; later structurally equal expressions
         resolve to it.  Unpickling re-interns (see :meth:`__reduce__`), so
-        expressions shipped across processes dedup against local ones by
+        expressions read back from a pickle dedup against local ones by
         identity.  An already-canonical instance returns itself without
         touching the table (the hot entailment path re-interns the same
         canonical entries constantly).

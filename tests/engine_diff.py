@@ -1,18 +1,13 @@
-"""Shared differential-test harness: reference vs compiled vs parallel engines.
+"""Shared differential-test harness: reference vs compiled vs batched engines.
 
 Every graph builder with a compiled backend keeps an ``engine="reference"``
 escape hatch and must produce **bit-identical** graphs through every engine:
 same node order, same edge order, same delays/probabilities/labels, same
-rates and weights.  The untimed reachability, GSPN and *timed* reachability
-builders (numeric and symbolic) additionally accept ``engine="parallel"``
-(the frontier-sharded multiprocess BFS of :mod:`repro.engine.parallel`), and
-the untimed and GSPN builders ``engine="batched"`` (the numpy level-batched
-kernel of :mod:`repro.engine.batched`); both are held to the same
-bit-identical standard — the deterministic merge
-must renumber cross-process discoveries into the exact sequential FIFO
-order, and for the timed construction the worker-computed edge payloads
-(delays, probabilities, used-constraint labels) must match the sequential
-arithmetic exactly.  This module centralizes
+rates and weights.  The untimed reachability and GSPN builders additionally
+accept ``engine="batched"`` (the numpy level-batched kernel of
+:mod:`repro.engine.batched`), held to the same bit-identical standard: its
+level-at-a-time discoveries must be renumbered into the exact FIFO order of
+the one-state-at-a-time loops.  This module centralizes
 
 * the workload registry (every bundled numeric model — the three protocol
   nets plus the producer/consumer, token-ring, sliding-window, go-back-N
@@ -96,11 +91,6 @@ TIMED_WORKLOADS = [
 
 TIMED_WORKLOAD_IDS = [label for label, _constructor in TIMED_WORKLOADS]
 
-#: Worker count used by the harness' parallel builds: two processes is the
-#: smallest configuration that actually exercises cross-shard batching and
-#: the deterministic merge.
-PARALLEL_WORKERS = 2
-
 
 def symbolic_workload():
     """The symbolic paper net with its Section-4 constraints."""
@@ -126,18 +116,6 @@ def build_symbolic_timed_pair(net, constraints, **kwargs):
     return (
         symbolic_timed_reachability_graph(net, constraints, engine="compiled", **kwargs),
         symbolic_timed_reachability_graph(net, constraints, engine="reference", **kwargs),
-    )
-
-
-def build_timed_parallel(net, *, workers=PARALLEL_WORKERS, **kwargs):
-    """The frontier-sharded numeric timed reachability graph (third engine value)."""
-    return timed_reachability_graph(net, engine="parallel", workers=workers, **kwargs)
-
-
-def build_symbolic_timed_parallel(net, constraints, *, workers=PARALLEL_WORKERS, **kwargs):
-    """The frontier-sharded symbolic timed reachability graph (third engine value)."""
-    return symbolic_timed_reachability_graph(
-        net, constraints, engine="parallel", workers=workers, **kwargs
     )
 
 
@@ -170,13 +148,8 @@ def build_untimed_pair(net, **kwargs):
     )
 
 
-def build_untimed_parallel(net, *, workers=PARALLEL_WORKERS, **kwargs):
-    """The frontier-sharded untimed reachability graph (third engine value)."""
-    return reachability_graph(net, engine="parallel", workers=workers, **kwargs)
-
-
 def build_untimed_batched(net, **kwargs):
-    """The numpy level-batched untimed reachability graph (fourth engine value)."""
+    """The numpy level-batched untimed reachability graph (third engine value)."""
     return reachability_graph(net, engine="batched", **kwargs)
 
 
@@ -224,13 +197,8 @@ def build_gspn_pair(net, **kwargs):
     )
 
 
-def build_gspn_parallel(net, *, workers=PARALLEL_WORKERS, **kwargs):
-    """The frontier-sharded GSPN analysis (third engine value, not yet solved)."""
-    return GSPNAnalysis(net, engine="parallel", workers=workers, **kwargs)
-
-
 def build_gspn_batched(net, **kwargs):
-    """The numpy level-batched GSPN analysis (fourth engine value, not yet solved)."""
+    """The numpy level-batched GSPN analysis (third engine value, not yet solved)."""
     return GSPNAnalysis(net, engine="batched", **kwargs)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -37,7 +38,7 @@ from engine_diff import (
 )
 from repro.analysis import AnalysisSession, ArtifactCache, params_token
 from repro.engine import NetTables, clear_shared_tables, tables_cache_stats
-from repro.protocols import sliding_window_net
+from repro.protocols import go_back_n_net, sliding_window_net
 
 
 def window_net(frames=2):
@@ -231,6 +232,43 @@ class TestNetTablesSharing:
         assert NetTables.of(first) is NetTables.of(second)
         stats = tables_cache_stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
+
+
+class TestNetTablesPickling:
+    """The ``tables`` stage pickles :class:`NetTables` into the disk tier."""
+
+    def test_round_trip_preserves_tables(self):
+        net = sliding_window_net(2, loss_probability=Fraction(1, 10))
+        tables = NetTables(net)
+        vec = tables.initial_vector()
+        tables.enabled_transitions(vec)  # populate the memo that must be dropped
+        clone = pickle.loads(pickle.dumps(tables))
+        assert clone.place_names == tables.place_names
+        assert clone.transition_names == tables.transition_names
+        assert clone.inputs == tables.inputs
+        assert clone.outputs == tables.outputs
+        assert clone.deltas == tables.deltas
+        assert clone.consumers_of_place == tables.consumers_of_place
+        assert clone.group_of == tables.group_of
+
+    def test_enabled_memo_not_stored(self):
+        net = sliding_window_net(2)
+        tables = NetTables(net)
+        tables.enabled_transitions(tables.initial_vector())
+        assert tables._enabled_cache
+        clone = pickle.loads(pickle.dumps(tables))
+        assert clone._enabled_cache == {}
+        # ... and the clone still computes the same enabled sets.
+        vec = clone.initial_vector()
+        assert clone.enabled_transitions(vec) == tables.enabled_transitions(vec)
+
+    def test_fire_after_round_trip(self):
+        net = go_back_n_net(2, loss_probability=Fraction(1, 10))
+        tables = NetTables(net)
+        clone = pickle.loads(pickle.dumps(tables))
+        vec = tables.initial_vector()
+        for transition in tables.enabled_transitions(vec):
+            assert clone.fire_atomic(vec, transition) == tables.fire_atomic(vec, transition)
 
 
 # ---------------------------------------------------------------------------

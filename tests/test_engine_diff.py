@@ -4,20 +4,18 @@ Runs every bundled workload (numeric and symbolic) through all four graph
 families — timed reachability, untimed reachability, Karp–Miller
 coverability and the GSPN marking graph — with ``engine="compiled"`` and
 ``engine="reference"`` and asserts the graphs are bit-identical via the
-shared harness in :mod:`engine_diff`.  The untimed, GSPN and timed families
-(numeric *and* symbolic) are additionally built with the third engine value,
-``engine="parallel"`` (``workers=2``), gating the multiprocess
-construction's deterministic merge on cross-process bit-identity; the
-untimed and GSPN families also run through the fourth value,
-``engine="batched"`` (the numpy level-batched kernel), held to the same
-standard.  Workloads that are unbounded under a semantics must fail
-identically through every engine.
+shared harness in :mod:`engine_diff`.  The untimed and GSPN families also
+run through the third engine value, ``engine="batched"`` (the numpy
+level-batched kernel), held to the same standard.  Workloads that are
+unbounded under a semantics must fail identically through every engine.
 
 CI runs this module (plus the randomized companion
 ``test_engine_random.py``) as a named differential gate.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -35,19 +33,15 @@ from engine_diff import (
     build_coverability_pair,
     build_gspn_batched,
     build_gspn_pair,
-    build_gspn_parallel,
     build_symbolic_timed_pair,
-    build_symbolic_timed_parallel,
     build_timed_pair,
-    build_timed_parallel,
     build_untimed_batched,
     build_untimed_pair,
-    build_untimed_parallel,
     symbolic_workload,
 )
 from repro.exceptions import UnboundedNetError
 from repro.petri import coverability_graph, reachability_graph
-from repro.protocols import simple_protocol_net, sliding_window_net
+from repro.protocols import go_back_n_net, simple_protocol_net, sliding_window_net
 from repro.reachability import timed_reachability_graph
 from repro.stochastic import GSPNAnalysis
 
@@ -58,6 +52,16 @@ GSPN_SETTINGS = {
     "alternating-bit": None,  # unbounded even truncated at 2 tokens/place
     "pipelined-stop-and-wait": {"place_capacity": 2, "solve": False},  # big CTMC; diff the exploration
 }
+
+#: Coverability rows: every numeric workload plus lossy go-back-N with three
+#: frames, whose serialized sends make the exploration deep relative to its
+#: width — the shape the compiled builder's parent-index chain (which
+#: rebuilds each work vector's ancestor chain for the acceleration rule)
+#: must get right.
+COVERABILITY_WORKLOADS = NUMERIC_WORKLOADS + [
+    ("go-back-n-3-lossy", lambda: go_back_n_net(3, loss_probability=Fraction(1, 10))),
+]
+COVERABILITY_WORKLOAD_IDS = [label for label, _constructor in COVERABILITY_WORKLOADS]
 
 
 class TestTimedDifferential:
@@ -74,37 +78,11 @@ class TestTimedDifferential:
         assert_timed_graphs_identical(compiled, reference)
         assert compiled.constraint_usage() == reference.constraint_usage()
 
-    @pytest.mark.parametrize("label,constructor", TIMED_WORKLOADS, ids=TIMED_WORKLOAD_IDS)
-    def test_parallel_workload(self, label, constructor):
-        # The cross-process determinism gate for the timed construction: the
-        # frontier-sharded engine must reproduce the sequential FIFO
-        # numbering *and* the worker-computed edge payloads (delays,
-        # probabilities, fired/completed labels) bit for bit.
-        net = constructor()
-        parallel = build_timed_parallel(net)
-        _compiled, reference = build_timed_pair(net)
-        assert_timed_graphs_identical(parallel, reference)
-
-    def test_symbolic_parallel(self):
-        # Symbolic clock expressions and RatFunc probabilities cross the
-        # process boundary through the hash-consing layer; the merged graph
-        # must carry identical expressions and used-constraint labels.
-        net, constraints = symbolic_workload()
-        parallel = build_symbolic_timed_parallel(net, constraints)
-        _compiled, reference = build_symbolic_timed_pair(net, constraints)
-        assert_timed_graphs_identical(parallel, reference)
-        assert parallel.constraint_usage() == reference.constraint_usage()
-        assert parallel.used_constraint_labels() == reference.used_constraint_labels()
-
     def test_timed_max_states_fails_identically(self):
         net = simple_protocol_net()
-        for engine, kwargs in (
-            ("reference", {}),
-            ("compiled", {}),
-            ("parallel", {"workers": 2}),
-        ):
+        for engine in ("reference", "compiled"):
             with pytest.raises(UnboundedNetError, match="timed reachability graph exceeded 5 "):
-                timed_reachability_graph(net, max_states=5, engine=engine, **kwargs)
+                timed_reachability_graph(net, max_states=5, engine=engine)
 
 
 class TestUntimedReachabilityDifferential:
@@ -137,9 +115,29 @@ class TestUntimedReachabilityDifferential:
         with pytest.raises(ValueError, match="unknown engine"):
             reachability_graph(sliding_window_net(2), engine="turbo")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: reachability_graph(sliding_window_net(2), engine="parallel"),
+            lambda: coverability_graph(simple_protocol_net(), engine="parallel"),
+            lambda: timed_reachability_graph(simple_protocol_net(), engine="parallel"),
+            lambda: GSPNAnalysis(simple_protocol_net(), engine="parallel"),
+        ],
+        ids=["untimed", "coverability", "timed", "gspn"],
+    )
+    def test_parallel_is_an_unknown_engine(self, build):
+        with pytest.raises(
+            ValueError,
+            match="unknown engine 'parallel'; expected one of "
+            "'compiled', 'reference', 'batched'",
+        ):
+            build()
+
 
 class TestCoverabilityDifferential:
-    @pytest.mark.parametrize("label,constructor", NUMERIC_WORKLOADS, ids=WORKLOAD_IDS)
+    @pytest.mark.parametrize(
+        "label,constructor", COVERABILITY_WORKLOADS, ids=COVERABILITY_WORKLOAD_IDS
+    )
     def test_workload(self, label, constructor):
         compiled, reference = build_coverability_pair(constructor(), max_nodes=20_000)
         assert_coverability_graphs_identical(compiled, reference)
@@ -167,60 +165,6 @@ class TestCoverabilityDifferential:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             coverability_graph(simple_protocol_net(), engine="turbo")
-
-
-class TestParallelDifferential:
-    """The frontier-sharded multiprocess engine vs the reference engine.
-
-    ``workers=2`` is the smallest sharded configuration: it exercises
-    cross-shard successor batches and the coordinator's deterministic
-    renumbering, which must reproduce the sequential FIFO order bit for bit.
-    """
-
-    @pytest.mark.parametrize("label,constructor", NUMERIC_WORKLOADS, ids=WORKLOAD_IDS)
-    def test_untimed_workload(self, label, constructor):
-        net = constructor()
-        if label in UNBOUNDED_UNTIMED:
-            with pytest.raises(UnboundedNetError, match="untimed reachability exceeded"):
-                build_untimed_parallel(net, max_states=500)
-        else:
-            parallel = build_untimed_parallel(net, max_states=30_000)
-            _compiled, reference = build_untimed_pair(net, max_states=30_000)
-            assert_untimed_graphs_identical(parallel, reference)
-
-    @pytest.mark.parametrize("label,constructor", NUMERIC_WORKLOADS, ids=WORKLOAD_IDS)
-    def test_gspn_workload(self, label, constructor):
-        net = constructor()
-        settings = GSPN_SETTINGS.get(label, {})
-        if settings is None:
-            with pytest.raises(UnboundedNetError, match="GSPN marking graph exceeded"):
-                build_gspn_parallel(net, max_states=500, place_capacity=2)._explore()
-            return
-        settings = dict(settings)
-        settings.pop("solve", None)
-        parallel = build_gspn_parallel(net, **settings)
-        reference = GSPNAnalysis(net, engine="reference", **settings)
-        assert_gspn_explorations_identical(parallel, reference)
-
-    def test_single_worker_degenerate_but_identical(self):
-        net = sliding_window_net(2)
-        parallel = build_untimed_parallel(net, workers=1)
-        reference = reachability_graph(net, engine="reference")
-        assert_untimed_graphs_identical(parallel, reference)
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError, match="workers must be a positive integer"):
-            reachability_graph(sliding_window_net(2), engine="parallel", workers=0)
-
-    def test_workers_rejected_for_sequential_engines(self):
-        with pytest.raises(ValueError, match="only meaningful with engine='parallel'"):
-            reachability_graph(sliding_window_net(2), engine="compiled", workers=2)
-        with pytest.raises(ValueError, match="only meaningful with engine='parallel'"):
-            GSPNAnalysis(simple_protocol_net(), place_capacity=2, workers=2)
-
-    def test_coverability_rejects_parallel(self):
-        with pytest.raises(ValueError, match="not supported by this builder"):
-            coverability_graph(simple_protocol_net(), engine="parallel")
 
 
 class TestBatchedDifferential:
@@ -301,12 +245,6 @@ class TestBatchedDifferential:
     def test_coverability_rejects_batched(self):
         with pytest.raises(ValueError, match="not supported by this builder"):
             coverability_graph(simple_protocol_net(), engine="batched")
-
-    def test_workers_rejected_for_batched(self):
-        with pytest.raises(ValueError, match="only meaningful with engine='parallel'"):
-            reachability_graph(sliding_window_net(2), engine="batched", workers=2)
-        with pytest.raises(ValueError, match="only meaningful with engine='parallel'"):
-            GSPNAnalysis(simple_protocol_net(), place_capacity=2, engine="batched", workers=2)
 
 
 class TestGSPNDifferential:

@@ -207,13 +207,6 @@ class TestCli:
         assert "markings" in output
         assert "deadlock-free" in output
 
-    def test_untimed_command_parallel_engine(self, capsys):
-        assert main(
-            ["untimed", "--model", "sliding-window", "--engine", "parallel", "--workers", "2"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "parallel (2 workers)" in output
-
     def test_untimed_command_reports_unbounded(self, capsys):
         assert main(["untimed", "--model", "simple-protocol", "--max-states", "500"]) == 1
         assert "untimed reachability exceeded" in capsys.readouterr().out
@@ -235,16 +228,6 @@ class TestCli:
         ) == 0
         assert "build stats: not recorded by this engine" in capsys.readouterr().out
 
-    def test_untimed_workers_require_parallel_engine(self):
-        with pytest.raises(SystemExit, match="--workers requires --engine parallel"):
-            main(["untimed", "--model", "sliding-window", "--workers", "2"])
-
-    def test_reachability_workers_require_parallel_engine(self):
-        # Both graph-building subcommands share one validation helper; the
-        # message must stay identical on the timed path.
-        with pytest.raises(SystemExit, match="--workers requires --engine parallel"):
-            main(["reachability", "--workers", "2"])
-
     def test_reachability_rejects_batched_engine(self, capsys):
         # The timed builders have no batched backend; argparse rejects the
         # value up front (exit code 2).
@@ -253,11 +236,18 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "invalid choice: 'batched'" in capsys.readouterr().err
 
-    def test_untimed_invalid_worker_count_exits_cleanly(self):
-        with pytest.raises(SystemExit, match="workers must be a positive integer"):
-            main(
-                ["untimed", "--model", "sliding-window", "--engine", "parallel", "--workers", "0"]
-            )
+    @pytest.mark.parametrize("command", ["untimed", "reachability"])
+    def test_parallel_engine_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--engine", "parallel"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'parallel'" in capsys.readouterr().err
+
+    def test_reachability_max_states_reported(self, capsys):
+        exit_code = main(["reachability", "--model", "selective-repeat", "--max-states", "5"])
+        output = capsys.readouterr().out
+        assert exit_code == 1
+        assert "cannot enumerate" in output
 
     def test_analyze_handles_folded_committed_cycles(self, capsys):
         # The lossless sliding window has decision-free cycles off the anchor

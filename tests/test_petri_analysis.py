@@ -1,5 +1,6 @@
 """Tests for structural/behavioural analysis: incidence, invariants, untimed graphs,
-properties, siphons and traps."""
+properties, siphons and traps, and the early-exit queries that must agree with
+the full untimed graph."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from engine_diff import NUMERIC_WORKLOADS, UNBOUNDED_UNTIMED
+from repro.engine import bound_check, find_deadlock, is_reachable
 from repro.exceptions import UnboundedNetError
 from repro.petri import (
     IncidenceMatrices,
@@ -63,6 +66,42 @@ def deadlocking_net():
     builder.transition("eat", inputs=["p"], outputs=[], firing_time=1)
     builder.mark("p")
     return builder.build()
+
+
+def philosophers_net():
+    """Two philosophers who take their left fork first: they can eat and
+    release forever, or both hold a left fork and deadlock."""
+    builder = NetBuilder("philosophers")
+    for me, other in ((0, 1), (1, 0)):
+        left, right, holds, eat = f"fork_{me}", f"fork_{other}", f"holds_{me}", f"eat_{me}"
+        for name, inputs, outputs in (
+            (f"left_{me}", [f"think_{me}", left], [holds]),
+            (f"right_{me}", [holds, right], [eat]),
+            (f"release_{me}", [eat], [f"think_{me}", left, right]),
+        ):
+            builder.transition(name, inputs=inputs, outputs=outputs, firing_time=1)
+        builder.mark(f"think_{me}").mark(left)
+    return builder.build()
+
+
+#: The bounded workloads (all deadlock-free) plus the deadlocking philosophers.
+QUERY_WORKLOADS = {
+    label: constructor
+    for label, constructor in NUMERIC_WORKLOADS
+    if label not in UNBOUNDED_UNTIMED
+}
+QUERY_WORKLOADS["philosophers"] = philosophers_net
+#: The default in-memory query store, and a disk store spilling at once.
+QUERY_STORES = {"memory": {}, "disk": {"store": "disk", "spill_threshold": 0}}
+
+
+def bfs_tree_paths(graph):
+    """Firing sequence to each marking along the BFS tree: the graph's edges
+    are in FIFO order, so the first edge into a marking is from its parent."""
+    paths = {0: ()}
+    for edge in graph.edges:
+        paths.setdefault(edge.target, paths[edge.source] + (edge.transition,))
+    return [paths[index] for index in range(graph.state_count)]
 
 
 class TestIncidence:
@@ -220,3 +259,48 @@ class TestSiphonsTraps:
 
     def test_commoner_condition_fails_for_deadlocking_net(self):
         assert not commoner_condition(deadlocking_net())
+
+
+class TestQueriesAgreeWithTheFullGraph:
+    """Early-exit answers, witnesses and BFS paths vs the complete graph."""
+
+    @pytest.mark.parametrize("label", sorted(QUERY_WORKLOADS))
+    def test_is_reachable_stops_at_each_marking(self, label):
+        net = QUERY_WORKLOADS[label]()
+        graph = reachability_graph(net)
+        paths = bfs_tree_paths(graph)
+        for index, marking in enumerate(graph.markings):
+            result = is_reachable(net, marking)
+            assert (result.witness, result.path) == (marking, paths[index])
+            assert result.states_explored == index + 1  # stops at the witness
+            assert result.replay(net) == marking
+
+    @pytest.mark.parametrize("store", sorted(QUERY_STORES))
+    @pytest.mark.parametrize("label", sorted(QUERY_WORKLOADS))
+    def test_find_deadlock_agrees_with_dead_markings(self, label, store):
+        net = QUERY_WORKLOADS[label]()
+        graph = reachability_graph(net)
+        dead = graph.dead_markings()
+        result = find_deadlock(net, **QUERY_STORES[store])
+        assert result.found == bool(dead) == (label == "philosophers")
+        if dead:
+            assert result.witness == graph.markings[dead[0]]
+            assert result.path == bfs_tree_paths(graph)[dead[0]]
+            assert result.states_explored == dead[0] + 1
+        else:
+            assert result.states_explored == graph.state_count
+
+    @pytest.mark.parametrize("store", sorted(QUERY_STORES))
+    @pytest.mark.parametrize("label", sorted(QUERY_WORKLOADS))
+    def test_bound_check_agrees_with_place_bounds(self, label, store):
+        net = QUERY_WORKLOADS[label]()
+        graph = reachability_graph(net)
+        paths = bfs_tree_paths(graph)
+        for place, bound in graph.max_tokens_per_place().items():
+            proven = bound_check(net, place, bound, **QUERY_STORES[store])
+            assert (proven.found, proven.states_explored) == (False, graph.state_count)
+            if bound:
+                first = next(i for i, m in enumerate(graph.markings) if m[place] >= bound)
+                violated = bound_check(net, place, bound - 1, **QUERY_STORES[store])
+                assert (violated.witness, violated.path) == (graph.markings[first], paths[first])
+                assert violated.states_explored == first + 1

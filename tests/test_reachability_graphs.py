@@ -230,6 +230,22 @@ class TestSymbolicReachabilityGraph:
         with pytest.raises(InsufficientConstraintsError):
             symbolic_timed_reachability_graph(net, ConstraintSet([]))
 
+    def test_unordered_timers_raise_typed_error_in_compiled_engine(self):
+        # Two concurrent symbolic timers with no ordering constraint: the
+        # compiled engine's comparator failure must surface with its
+        # original type, exactly like the reference engine's.
+        from repro.exceptions import InsufficientConstraintsError
+        from repro.symbolic import time_symbol
+
+        builder = NetBuilder("unordered-timers")
+        builder.place("p1", "timer 1 armed", tokens=1)
+        builder.place("p2", "timer 2 armed", tokens=1)
+        builder.transition("t1", inputs=["p1"], outputs=[], firing_time=time_symbol("A"))
+        builder.transition("t2", inputs=["p2"], outputs=[], firing_time=time_symbol("B"))
+        net = builder.build()
+        with pytest.raises(InsufficientConstraintsError):
+            symbolic_timed_reachability_graph(net, (), engine="compiled")
+
     def test_inconsistent_constraints_are_rejected(self):
         from repro.exceptions import InconsistentConstraintsError
         from repro.symbolic import Constraint, ConstraintSet, LinExpr

@@ -406,6 +406,8 @@ class TestErrorsAndHealth:
             {"net": net, "stage": "untimed", "params": {"engine": "parallel"}},
         )
         assert status == 400
+        assert body["error"]["code"] == "invalid-params"
+        assert "engine must be one of compiled, batched" in body["error"]["message"]
         status, body = client.request(
             "POST", "/jobs", {"net": net, "stage": "query", "params": {"kind": "bound"}}
         )
@@ -446,9 +448,109 @@ class TestErrorsAndHealth:
         status, body = client.request("GET", "/healthz")
         assert status == 200
         assert body["status"] == "ok"
-        assert body["restarts"] == 0
-        assert len(body["workers"]) == 2
-        assert all(worker["alive"] for worker in body["workers"])
+        assert body["queue_depth"] == 0
+        assert isinstance(body["jobs"], dict)
+        assert body["workers"] == [
+            {"id": 0, "current_job": None},
+            {"id": 1, "current_job": None},
+        ]
+
+    def test_unexpected_stage_error_keeps_the_pool_serving(self, tmp_path, monkeypatch):
+        # An exception outside the expected job errors is recorded as the
+        # job's error, and the single pool thread goes on to the next job.
+        def broken_stage(*_args, **_kwargs):
+            raise RuntimeError("stage exploded")
+
+        monkeypatch.setattr(AnalysisSession, "untimed_graph", broken_stage)
+        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=1)
+        try:
+            failed = manager.submit(
+                parse_job({"net": net_payload(window_net(2)), "stage": "untimed"})
+            )
+            following = manager.submit(
+                parse_job({"net": net_payload(window_net(2)), "stage": "tables"})
+            )
+            deadline = time.monotonic() + 30
+            while following.status not in TERMINAL and time.monotonic() < deadline:
+                time.sleep(0.02)
+            record = manager.describe(failed)
+            assert record["status"] == "error"
+            assert record["error"] == {"type": "RuntimeError", "message": "stage exploded"}
+            assert manager.describe(following)["status"] == "done"
+        finally:
+            manager.shutdown()
+
+    def test_render_runs_outside_the_manager_lock(self, service, monkeypatch):
+        # While one job's result summary renders, polls and health checks
+        # must not queue behind it.
+        from repro.service import jobs as jobs_module
+
+        server, client = service
+        slow = threading.Event()
+        rendering = threading.Event()
+        render = jobs_module.describe_artifact
+
+        def slow_render(stage, artifact, net):
+            if slow.is_set():
+                rendering.set()
+                time.sleep(0.5)
+            return render(stage, artifact, net)
+
+        monkeypatch.setattr(jobs_module, "describe_artifact", slow_render)
+        manager = server.manager
+        other = client.run(window_net(2), "tables")["id"]
+        slow.set()
+        rendered = client.submit(window_net(3), "tables")["id"]
+        assert rendering.wait(30)
+        started = time.monotonic()
+        manager.describe(manager.get(other))
+        assert time.monotonic() - started < 0.1
+        started = time.monotonic()
+        manager.health()
+        assert time.monotonic() - started < 0.1
+        started = time.monotonic()
+        assert client.request("GET", f"/jobs/{other}")[0] == 200
+        assert time.monotonic() - started < 0.1
+        started = time.monotonic()
+        assert client.request("GET", "/healthz")[0] == 200
+        assert time.monotonic() - started < 0.1
+        assert client.wait(rendered)["status"] == "done"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_size_changes_no_result(self, tmp_path, workers):
+        # A mixed batch, one job failing, ends the same at every pool size,
+        # with every pool thread idle afterwards.
+        net = window_net(2)
+        graph = reachability_graph(net)
+        stages = [("untimed", {}), ("coverability", {}), ("query", {"kind": "deadlock"})]
+        stages.append(("untimed", {"max_states": 5}))
+        manager = JobManager(cache_dir=str(tmp_path / "cache"), workers=workers)
+        try:
+            jobs = manager.submit_batch(
+                [
+                    parse_job({"net": net_payload(net), "stage": stage, "params": params})
+                    for stage, params in stages
+                ]
+            )
+            idle = [{"id": slot, "current_job": None} for slot in range(workers)]
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and (
+                any(job.status not in TERMINAL for job in jobs)
+                or manager.health()["workers"] != idle
+            ):
+                time.sleep(0.02)
+            untimed, coverability, query, capped = (manager.describe(job) for job in jobs)
+            assert (untimed["result"]["states"], untimed["result"]["edges"]) == (
+                graph.state_count,
+                graph.edge_count,
+            )
+            assert coverability["result"]["nodes"] == graph.state_count
+            assert query["result"]["found"] is False
+            assert capped["error"]["type"] == "UnboundedNetError"
+            health = manager.health()
+            assert (health["jobs"], health["workers"]) == ({"done": 3, "error": 1}, idle)
+        finally:
+            manager.shutdown()
 
     def test_cache_stats_shape(self, service):
         _, client = service

@@ -274,7 +274,7 @@ class TestSpillDeterminism:
     def test_store_rejected_off_the_frontier_core(self):
         with pytest.raises(ValueError, match="frontier-core"):
             reachability_graph(token_ring_net(3), engine="reference", store="disk")
-        with pytest.raises(ValueError, match="frontier-core"):
+        with pytest.raises(ValueError, match="unknown engine 'parallel'"):
             reachability_graph(token_ring_net(3), engine="parallel", store="disk")
 
 

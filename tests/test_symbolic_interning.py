@@ -233,3 +233,58 @@ class TestBranchCacheLRU:
     def test_invalid_limit_rejected(self):
         with pytest.raises(ValueError, match="cache limit"):
             set_branch_cache_limit(0)
+
+
+class TestBranchProbabilityCache:
+    """The cross-construction cache keyed on conflict-set frequency tuples."""
+
+    def setup_method(self):
+        clear_branch_caches()
+
+    def teardown_method(self):
+        clear_branch_caches()
+
+    def test_repeated_numeric_builds_hit_the_cache(self):
+        from repro.protocols import sliding_window_net
+        from repro.reachability import timed_reachability_graph
+
+        build = lambda: timed_reachability_graph(
+            sliding_window_net(2, loss_probability=Fraction(1, 10))
+        )
+        first = build()
+        after_first = branch_cache_stats()["numeric"]
+        second = build()
+        after_second = branch_cache_stats()["numeric"]
+        # The window slots share frequency tuples, so even the first build
+        # hits; the second build derives nothing new.
+        assert after_second["size"] == after_first["size"]
+        assert after_second["hits"] > after_first["hits"]
+        # Sharing the derivation must not change the graph.
+        assert [e.probability for e in second.edges] == [e.probability for e in first.edges]
+
+    def test_repeated_symbolic_builds_share_ratfunc_quotients(self):
+        from repro.protocols import simple_protocol_symbolic
+        from repro.reachability import symbolic_timed_reachability_graph
+
+        net, constraints, _symbols = simple_protocol_symbolic()
+        first = symbolic_timed_reachability_graph(net, constraints)
+        after_first = branch_cache_stats()["symbolic"]
+        assert after_first["size"] > 0
+        net2, constraints2, _symbols2 = simple_protocol_symbolic()
+        second = symbolic_timed_reachability_graph(net2, constraints2)
+        after_second = branch_cache_stats()["symbolic"]
+        assert after_second["size"] == after_first["size"]
+        assert after_second["hits"] > after_first["hits"]
+        assert [e.probability for e in second.edges] == [e.probability for e in first.edges]
+
+    def test_clear_resets_counters(self):
+        from repro.protocols import sliding_window_net
+        from repro.reachability import timed_reachability_graph
+
+        timed_reachability_graph(sliding_window_net(2, loss_probability=Fraction(1, 10)))
+        clear_branch_caches()
+        stats = branch_cache_stats()
+        for flavour in ("numeric", "symbolic"):
+            assert stats[flavour]["size"] == 0
+            assert stats[flavour]["hits"] == 0
+            assert stats[flavour]["misses"] == 0
