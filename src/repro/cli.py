@@ -23,7 +23,8 @@ Subcommands mirror the analysis pipeline of the paper:
   ``--store disk --spill-threshold N`` spills the exploration to disk and
   ``--stats`` reports states explored, spill bytes and witness depth,
 * ``resume`` — complete an interrupted build from its checkpoint directory,
-  bit-identically to an uninterrupted run,
+  bit-identically to an uninterrupted run (with ``--deadline`` or
+  ``--checkpoint-every`` it re-checkpoints into that same directory),
 * ``simulate`` — run the discrete-event simulator and compare against the
   analytic throughput,
 * ``export`` — write a model as JSON, PNML or Graphviz DOT,
@@ -508,9 +509,12 @@ def _command_resume(arguments) -> int:
         checkpoint = Checkpoint.load(arguments.checkpoint)
     except Exception as error:
         raise SystemExit(str(error))
-    if arguments.checkpoint_every is not None and arguments.checkpoint_dir is None:
+    if arguments.checkpoint_dir is None and (
+        arguments.deadline is not None or arguments.checkpoint_every is not None
+    ):
         # A resumed run re-checkpoints into the directory it came from
-        # unless redirected, so repeated interruptions keep working.
+        # unless redirected, so each expired resume continues where the
+        # previous one stopped instead of redoing the same work.
         arguments.checkpoint_dir = checkpoint.path
     control = _resolve_control(arguments)
     print(

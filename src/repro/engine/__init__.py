@@ -45,7 +45,9 @@ The package layers that loop once instead of five times:
   threaded through the frontier loop and every store-capable builder,
   durable :class:`~repro.engine.runtime.Checkpoint` directories, and
   :func:`~repro.engine.runtime.resume` which completes an interrupted
-  build bit-identically;
+  build bit-identically by re-entering the builder that wrote the
+  checkpoint at its saved cursor (every builder above takes
+  ``resume_from=``);
 * :mod:`repro.engine.faults` — the **fault-injection** hooks the
   robustness tests (and the CI fault-injection step) drive: crash at the
   Nth expansion, transient/broken store writes, a stepping clock for
@@ -63,14 +65,7 @@ from typing import Optional, Sequence
 from .batched import batched_marking_graph, batched_reachability_graph
 from .frontier import FrontierStats, explore
 from .gspn import compiled_marking_graph
-from .query import (
-    QueryResult,
-    bound_check,
-    find_deadlock,
-    is_reachable,
-    resume_query,
-    search,
-)
+from .query import QueryResult, bound_check, find_deadlock, is_reachable, search
 from .runtime import (
     CancellationToken,
     Checkpoint,
@@ -80,12 +75,7 @@ from .runtime import (
     resume,
 )
 from .store import DiskStateStore, resolve_store
-from .tables import (
-    NetTables,
-    clear_shared_tables,
-    set_tables_cache_limit,
-    tables_cache_stats,
-)
+from .tables import NetTables, clear_shared_tables, tables_cache_stats
 from .untimed import compiled_coverability_graph, compiled_reachability_graph
 
 #: Engine selection values shared by every builder with a compiled backend.
@@ -170,8 +160,6 @@ __all__ = [
     "is_reachable",
     "resolve_store",
     "resume",
-    "resume_query",
     "search",
-    "set_tables_cache_limit",
     "tables_cache_stats",
 ]

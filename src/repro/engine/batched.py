@@ -353,7 +353,7 @@ def _explore_batched(
     store: Optional[DiskStateStore] = None,
     control=None,
     writer: Optional[CheckpointWriter] = None,
-    resume: Optional[dict] = None,
+    resume_from=None,
 ):
     """The level-batched frontier loop over plain token vectors.
 
@@ -369,8 +369,8 @@ def _explore_batched(
     are manifest-only — the snapshot closure installed on ``writer``
     captures the state matrix, the edge arrays and the vanishing flags
     directly, because the level loop keeps its dedup keys resident anyway.
-    ``resume`` is such a snapshot plus the saved cursor; exploration
-    re-enters the loop at that level boundary.
+    ``resume_from`` is a checkpoint carrying such a snapshot; exploration
+    re-enters the loop at its saved level boundary.
     """
     start = time.perf_counter()
     input_matrix = tables.input_matrix
@@ -391,7 +391,7 @@ def _explore_batched(
     immediate_row = (
         np.asarray(is_immediate, dtype=bool) if is_immediate is not None else None
     )
-    if resume is None:
+    if resume_from is None:
         table = _VectorTable(
             np.array(tables.initial_vector(), dtype=np.int64), delta_matrix, store
         )
@@ -402,17 +402,18 @@ def _explore_batched(
         edge_count = 0
         cursor = 0
     else:
+        snapshot = resume_from.manifest["extra"]
         table = _table_from_rows(
-            np.asarray(resume["vectors"], dtype=np.int64), delta_matrix, store
+            np.asarray(snapshot["vectors"], dtype=np.int64), delta_matrix, store
         )
         vanishing_flags = (
-            list(resume["vanishing"]) if is_immediate is not None else None
+            list(snapshot["vanishing"]) if is_immediate is not None else None
         )
-        edge_sources = [np.asarray(resume["sources"], dtype=np.int64)]
-        edge_targets = [np.asarray(resume["targets"], dtype=np.int64)]
-        edge_transitions = [np.asarray(resume["transitions"], dtype=np.int64)]
+        edge_sources = [np.asarray(snapshot["sources"], dtype=np.int64)]
+        edge_targets = [np.asarray(snapshot["targets"], dtype=np.int64)]
+        edge_transitions = [np.asarray(snapshot["transitions"], dtype=np.int64)]
         edge_count = edge_sources[0].shape[0]
-        cursor = resume["cursor"]
+        cursor = resume_from.cursor
     if writer is not None:
 
         def _snapshot() -> dict:
@@ -601,7 +602,7 @@ def _batched_writer(control, *, kind, net, max_states, store, gspn_params=None):
 
 
 def batched_reachability_graph(
-    net, *, max_states: int = 100_000, store=None, control=None
+    net, *, max_states: int = 100_000, store=None, control=None, resume_from=None
 ):
     """Untimed reachability through the numpy level-batched kernel.
 
@@ -610,7 +611,10 @@ def batched_reachability_graph(
     materializes :class:`~repro.petri.marking.Marking` objects and edge
     records when a per-object view is actually read.  A ``control`` is
     polled at level boundaries (deadline/cancellation, periodic
-    manifest-only checkpoints).
+    manifest-only checkpoints).  ``resume_from`` (a ``batched-untimed``
+    checkpoint) re-interns the saved state matrix in its saved order (see
+    :func:`_table_from_rows`) and re-enters the level loop at the saved
+    boundary; ``store`` then only bounds memory, as in the original run.
     """
     from ..petri.untimed import UntimedReachabilityGraph
 
@@ -627,61 +631,13 @@ def batched_reachability_graph(
         store=store,
         control=control,
         writer=writer,
+        resume_from=resume_from,
     )
     if stats.interrupt_reason is not None:
         raise_interrupted(stats, writer, control, "untimed reachability build")
     graph._adopt_columnar(tables, vectors, sources, targets, transitions)
     graph._build_stats = stats
     return graph
-
-
-def resume_batched_reachability(checkpoint, *, control=None):
-    """Resume a ``batched-untimed`` checkpoint; returns the finished graph.
-
-    The state matrix is re-interned in saved order (see
-    :func:`_table_from_rows`) and the level loop re-enters at the saved
-    boundary; the spill store, when the original build used one, is a
-    fresh temporary spool — archiving bounds memory but never affects the
-    result.  Dispatched through :func:`repro.engine.runtime.resume`.
-    """
-    from ..petri.untimed import UntimedReachabilityGraph
-
-    manifest = checkpoint.manifest
-    net = checkpoint.restore_net()
-    params = manifest["params"]
-    tables = NetTables.of(net)
-    graph = UntimedReachabilityGraph(net)
-    stats = FrontierStats(engine="batched")
-    store = (
-        DiskStateStore(spill_threshold=params["spill_threshold"])
-        if params["used_store"]
-        else None
-    )
-    writer = _batched_writer(
-        control,
-        kind="batched-untimed",
-        net=net,
-        max_states=params["max_states"],
-        store=store,
-    )
-    try:
-        vectors, sources, targets, transitions, _flags = _explore_batched(
-            tables,
-            untimed_limits(params["max_states"]),
-            stats,
-            store=store,
-            control=control,
-            writer=writer,
-            resume={"cursor": checkpoint.cursor, **manifest["extra"]},
-        )
-        if stats.interrupt_reason is not None:
-            raise_interrupted(stats, writer, control, "untimed reachability build")
-        graph._adopt_columnar(tables, vectors, sources, targets, transitions)
-        graph._build_stats = stats
-        return graph
-    finally:
-        if store is not None:
-            store.close()
 
 
 def batched_marking_graph(
@@ -692,19 +648,21 @@ def batched_marking_graph(
     rates,
     max_states: int = 100_000,
     place_capacity=None,
-    stats_sink=None,
     store=None,
     control=None,
+    resume_from=None,
 ):
     """GSPN marking graph through the numpy level-batched kernel.
 
-    Same ``(markings, edges, vanishing)`` contract as
+    Same ``(markings, edges, vanishing, stats)`` contract as
     :func:`repro.engine.gspn.compiled_marking_graph`, bit-identical to it.
     Markings and edge tuples adopt the columnar arrays lazily (see
     :class:`_LazyColumnarList`) — solvers that only count states or read
     the vanishing set never pay the per-object materialization loop, the
     same deal ``batched_reachability_graph`` has had via
-    ``_adopt_columnar``.
+    ``_adopt_columnar``.  ``resume_from`` (a ``batched-gspn`` checkpoint)
+    continues that exploration exactly as in
+    :func:`batched_reachability_graph`.
     """
     tables = NetTables.of(net)
     names = tables.transition_names
@@ -734,9 +692,8 @@ def batched_marking_graph(
         store=store,
         control=control,
         writer=writer,
+        resume_from=resume_from,
     )
-    if stats_sink is not None:
-        stats_sink.append(stats)
     if stats.interrupt_reason is not None:
         raise_interrupted(stats, writer, control, "GSPN marking-graph build")
 
@@ -761,97 +718,10 @@ def batched_marking_graph(
     markings = _LazyColumnarList(build_markings, int(vectors.shape[0]))
     edges = _LazyColumnarList(build_edges, int(sources.shape[0]))
     vanishing = set(np.flatnonzero(flags).tolist())
-    return markings, edges, vanishing
-
-
-def resume_batched_marking(checkpoint, *, control=None, stats_sink=None):
-    """Resume a ``batched-gspn`` checkpoint.
-
-    Same ``(markings, edges, vanishing)`` contract as
-    :func:`batched_marking_graph`; the wrapper in
-    :mod:`repro.stochastic.gspn` turns it back into a solvable analysis.
-    """
-    manifest = checkpoint.manifest
-    net = checkpoint.restore_net()
-    params = manifest["params"]
-    tables = NetTables.of(net)
-    names = tables.transition_names
-    immediate = params["immediate"]
-    weights = params["weights"]
-    rates = params["rates"]
-    max_states = params["max_states"]
-    place_capacity = params["place_capacity"]
-    is_immediate = tuple(immediate[name] for name in names)
-    weight_of = tuple(weights[name] for name in names)
-    rate_of = tuple(rates[name] for name in names)
-    stats = FrontierStats(engine="batched")
-    store = (
-        DiskStateStore(spill_threshold=params["spill_threshold"])
-        if params["used_store"]
-        else None
-    )
-    writer = _batched_writer(
-        control,
-        kind="batched-gspn",
-        net=net,
-        max_states=max_states,
-        store=store,
-        gspn_params={
-            "immediate": dict(immediate),
-            "weights": dict(weights),
-            "rates": dict(rates),
-            "place_capacity": place_capacity,
-        },
-    )
-    try:
-        vectors, sources, targets, transitions, flags = _explore_batched(
-            tables,
-            gspn_limits(max_states),
-            stats,
-            is_immediate=is_immediate,
-            place_capacity=place_capacity,
-            store=store,
-            control=control,
-            writer=writer,
-            resume={"cursor": checkpoint.cursor, **manifest["extra"]},
-        )
-        if stats_sink is not None:
-            stats_sink.append(stats)
-        if stats.interrupt_reason is not None:
-            # Raised (and its final checkpoint snapshot taken) before the
-            # finally closes the spill store the snapshot streams from.
-            raise_interrupted(stats, writer, control, "GSPN marking-graph build")
-    finally:
-        if store is not None:
-            store.close()
-
-    def build_markings() -> list:
-        return [tables.to_marking(row) for row in vectors.tolist()]
-
-    def build_edges() -> list:
-        edges = []
-        for source, target, transition in zip(
-            sources.tolist(), targets.tolist(), transitions.tolist()
-        ):
-            if is_immediate[transition]:
-                edges.append(
-                    (source, target, names[transition], weight_of[transition], True)
-                )
-            else:
-                edges.append(
-                    (source, target, names[transition], rate_of[transition], False)
-                )
-        return edges
-
-    markings = _LazyColumnarList(build_markings, int(vectors.shape[0]))
-    edges = _LazyColumnarList(build_edges, int(sources.shape[0]))
-    vanishing = set(np.flatnonzero(flags).tolist())
-    return markings, edges, vanishing
+    return markings, edges, vanishing, stats
 
 
 __all__ = [
     "batched_marking_graph",
     "batched_reachability_graph",
-    "resume_batched_marking",
-    "resume_batched_reachability",
 ]

@@ -40,14 +40,10 @@ from ..exceptions import PerformanceError, StoreError
 from ..petri.marking import Marking
 from ..petri.net import TimedPetriNet
 from .frontier import FrontierStats, UntimedKernel, explore, untimed_limits
-from .runtime import (
-    CheckpointWriter,
-    checkpoint_store,
-    open_checkpoint_store,
-    raise_interrupted,
-)
-from .store import DiskStateStore, resolve_store
+from .runtime import CheckpointWriter, build_store, raise_interrupted
+from .store import DiskStateStore
 from .tables import NetTables
+from .untimed import _cursor
 
 
 @dataclass(frozen=True)
@@ -169,9 +165,7 @@ def search(
     def stop(vec, enabled) -> bool:
         return bool(predicate(tables.to_marking(vec)))
 
-    return _run_query(
-        net, tables, stop, max_states, store, spill_threshold, control=control
-    )
+    return _run_query(net, stop, max_states, store, spill_threshold, control=control)
 
 
 def is_reachable(
@@ -189,15 +183,15 @@ def is_reachable(
     False means the target is unreachable (the whole state space was
     enumerated without it).
     """
-    tables = NetTables.of(net)
-    target_vec = _target_vector(net, target)
-    spec = {"query": "is_reachable", "target": list(target_vec)}
-
-    def stop(vec, enabled) -> bool:
-        return vec == target_vec
-
+    spec = {"query": "is_reachable", "target": list(_target_vector(net, target))}
     return _run_query(
-        net, tables, stop, max_states, store, spill_threshold, control=control, spec=spec
+        net,
+        _stop_from_spec(net, spec),
+        max_states,
+        store,
+        spill_threshold,
+        control=control,
+        spec=spec,
     )
 
 
@@ -219,15 +213,15 @@ def bound_check(
     """
     if place not in net.place_order:
         raise ValueError(f"unknown place {place!r}")
-    place_index = net.place_order.index(place)
-    tables = NetTables.of(net)
     spec = {"query": "bound_check", "place": place, "k": int(k)}
-
-    def stop(vec, enabled) -> bool:
-        return vec[place_index] > k
-
     return _run_query(
-        net, tables, stop, max_states, store, spill_threshold, control=control, spec=spec
+        net,
+        _stop_from_spec(net, spec),
+        max_states,
+        store,
+        spill_threshold,
+        control=control,
+        spec=spec,
     )
 
 
@@ -245,14 +239,15 @@ def find_deadlock(
     enabled set, so the test is a truth check — no transition rescan.
     ``found`` False proves the net deadlock-free under the atomic rule.
     """
-    tables = NetTables.of(net)
     spec = {"query": "find_deadlock"}
-
-    def stop(vec, enabled) -> bool:
-        return not enabled
-
     return _run_query(
-        net, tables, stop, max_states, store, spill_threshold, control=control, spec=spec
+        net,
+        _stop_from_spec(net, spec),
+        max_states,
+        store,
+        spill_threshold,
+        control=control,
+        spec=spec,
     )
 
 
@@ -275,7 +270,6 @@ def _stop_from_spec(
 
 def _run_query(
     net: TimedPetriNet,
-    tables: NetTables,
     stop_vec: Callable[[Tuple[int, ...], Tuple[int, ...]], bool],
     max_states: int,
     store,
@@ -296,29 +290,20 @@ def _run_query(
             "cannot be serialized into a manifest); use is_reachable / "
             "bound_check / find_deadlock, or drop checkpoint_dir"
         )
-    if control is not None and control.wants_checkpoint:
-        resolved, owned = checkpoint_store(
-            control, store, spill_threshold=spill_threshold
-        )
-    else:
-        resolved, owned = resolve_store(store, spill_threshold=spill_threshold)
-        if resolved is None:
-            # Queries always route dedup and the parent-annotated item log
-            # through a store so the witness path is reconstructible after
-            # the loop; without an explicit one, a never-spilling in-memory
-            # store costs what the builders' plain dicts cost.
-            resolved = DiskStateStore(spill_threshold=None)
-            owned = True
+    from . import ENGINE_COMPILED
+
+    resolved, owned = build_store(
+        ENGINE_COMPILED, store, spill_threshold=spill_threshold, control=control
+    )
+    if resolved is None:
+        # Queries always route dedup and the parent-annotated item log
+        # through a store so the witness path is reconstructible after
+        # the loop; without an explicit one, a never-spilling in-memory
+        # store costs what the builders' plain dicts cost.
+        resolved, owned = DiskStateStore(spill_threshold=None), True
     try:
         return _drive_query(
-            net,
-            tables,
-            stop_vec,
-            max_states,
-            resolved,
-            control=control,
-            spec=spec,
-            start_cursor=0,
+            net, stop_vec, max_states, resolved, control=control, spec=spec
         )
     finally:
         if owned:
@@ -327,16 +312,18 @@ def _run_query(
 
 def _drive_query(
     net: TimedPetriNet,
-    tables: NetTables,
     stop_vec: Callable[[Tuple[int, ...], Tuple[int, ...]], bool],
     max_states: int,
     resolved: DiskStateStore,
     *,
     control=None,
     spec: Optional[dict] = None,
-    start_cursor: int = 0,
+    resume_from=None,
 ) -> QueryResult:
-    """The query core shared by cold runs and checkpoint resumes."""
+    """The query core shared by cold runs and checkpoint resumes
+    (``resume_from`` continues from its saved cursor over its reopened
+    spool, see :func:`repro.engine.runtime.resume`)."""
+    tables = NetTables.of(net)
     kernel = _TracedKernel(UntimedKernel(tables, memoize_enabled=False))
     witness: dict = {"index": None, "item": None}
 
@@ -374,7 +361,7 @@ def _drive_query(
         stop=stop,
         control=control,
         checkpoint=writer.write if writer is not None else None,
-        start_cursor=start_cursor,
+        start_cursor=_cursor(resume_from),
     )
     if stats.interrupt_reason is not None:
         raise_interrupted(stats, writer, control, "reachability query")
@@ -402,42 +389,10 @@ def _drive_query(
     )
 
 
-def resume_query(checkpoint, *, control=None) -> QueryResult:
-    """Resume an interrupted named query from its checkpoint.
-
-    The spool already fixes the interning order and carries each logged
-    item's BFS-tree parent and discovering transition, so the resumed
-    exploration continues at the saved cursor and the witness path (when a
-    witness is eventually found) is reconstructed exactly as in a cold
-    run.  Dispatched through :func:`repro.engine.runtime.resume`.
-    """
-    if checkpoint.kind != "query":
-        raise StoreError(f"not a query checkpoint: kind {checkpoint.kind!r}")
-    net = checkpoint.restore_net()
-    params = checkpoint.manifest["params"]
-    tables = NetTables.of(net)
-    stop_vec = _stop_from_spec(net, params["spec"])
-    resolved = open_checkpoint_store(checkpoint)
-    try:
-        return _drive_query(
-            net,
-            tables,
-            stop_vec,
-            params["max_states"],
-            resolved,
-            control=control,
-            spec=params["spec"],
-            start_cursor=checkpoint.cursor,
-        )
-    finally:
-        resolved.close()
-
-
 __all__ = [
     "QueryResult",
     "bound_check",
     "find_deadlock",
     "is_reachable",
-    "resume_query",
     "search",
 ]

@@ -19,13 +19,19 @@ observed, interrupted and continued.  This module is that layer:
   the builder parameters, the expansion cursor and the edges reported so
   far.
 * :func:`resume` — completes an interrupted build **bit-identically** to
-  an uninterrupted one.  The FIFO contract makes this sound: checkpoints
+  an uninterrupted one by re-entering the builder that wrote the
+  checkpoint (``resume_from=``) at the saved cursor, so cold and resumed
+  builds run one code path.  The FIFO contract makes this sound: checkpoints
   happen at item boundaries (scalar loops) or level boundaries (batched
   loops), the store's log fixes the interning order of every discovered
   state, and re-expanding from the cursor re-derives exactly the missing
   edges — re-interned successors resolve to their existing indices.  A
   manifest older than the store (a crash between periodic checkpoints)
   only means a few items are re-expanded; the result is unchanged.
+* :func:`build_store` — the one rule picking the store a build runs on:
+  reference engines take none, a scalar checkpoint anchors its spool in
+  the checkpoint directory, and a batched checkpoint is manifest-only, so
+  there the store only bounds memory.
 
 Builders raise :class:`~repro.exceptions.BuildInterruptedError` carrying
 the checkpoint handle; the CLI surfaces the same machinery as
@@ -396,20 +402,34 @@ def open_checkpoint_store(checkpoint: Checkpoint):
     return store
 
 
-def checkpoint_store(control, store, *, spill_threshold=None, path=None):
-    """Resolve a public ``store=`` argument under checkpointing rules.
+def build_store(engine, store, *, spill_threshold=None, control=None):
+    """The store a build runs on, as ``(store, owned)``: the one store rule.
 
-    Without an active checkpointing control this is exactly
-    :func:`repro.engine.store.resolve_store`.  With one, the build *must*
-    run through a durable store (the checkpoint is the store spool plus the
-    manifest): ``None``/``"disk"`` become a spool anchored at
-    ``<checkpoint_dir>/store``, and an explicit anonymous in-memory store
-    is rejected because its temporary spool would vanish on close.
+    * ``engine="reference"`` takes neither ``store=`` nor ``control=``.
+    * A scalar (``"compiled"``) checkpoint is the store spool plus the
+      manifest, so a checkpointing ``control`` makes the build run through a
+      durable store: ``None``/``"disk"`` become a spool anchored at
+      ``<checkpoint_dir>/store``, and an explicit anonymous store is
+      rejected because its temporary spool would vanish on close.
+    * A batched checkpoint is manifest-only, so there — and whenever nothing
+      checkpoints — the store only bounds memory: exactly
+      :func:`repro.engine.store.resolve_store`.
+
+    ``owned`` tells the caller whether it must close the store when the
+    build finishes.
     """
+    from . import ENGINE_COMPILED, ENGINE_REFERENCE
     from .store import DiskStateStore, resolve_store
 
-    if control is None or not control.wants_checkpoint:
-        return resolve_store(store, spill_threshold=spill_threshold, path=path)
+    if engine == ENGINE_REFERENCE:
+        if store is not None or control is not None:
+            raise ValueError(
+                "store= and control= are only supported by the frontier-core "
+                "engines ('compiled' and 'batched')"
+            )
+        return None, False
+    if engine != ENGINE_COMPILED or control is None or not control.wants_checkpoint:
+        return resolve_store(store, spill_threshold=spill_threshold)
     if isinstance(store, DiskStateStore):
         if store.path is None:
             raise ValueError(
@@ -465,27 +485,71 @@ def resume(checkpoint, *, control: Optional[RunControl] = None):
     deadline/checkpoint policy; a second interruption raises
     :class:`~repro.exceptions.BuildInterruptedError` with an updated
     checkpoint, so resume can be repeated any number of times.
+
+    This is the only resume entry point: it opens the store for the
+    checkpoint's ``kind`` and re-enters the builder that wrote the
+    checkpoint with ``resume_from=checkpoint``, so a resumed build runs the
+    cold build's code from the saved cursor.
     """
+    from .store import DiskStateStore
+
     if not isinstance(checkpoint, Checkpoint):
         checkpoint = Checkpoint.load(os.fspath(checkpoint))
     kind = checkpoint.kind
-    if kind in ("untimed", "coverability"):
-        from . import untimed as _untimed
+    params = checkpoint.manifest["params"]
+    net = checkpoint.restore_net()
+    if kind in ("batched-untimed", "batched-gspn"):
+        # Manifest-only: a fresh spool bounds memory, as in the original run.
+        store = (
+            DiskStateStore(spill_threshold=params["spill_threshold"])
+            if params["used_store"]
+            else None
+        )
+    elif kind in ("untimed", "coverability", "gspn", "query"):
+        store = open_checkpoint_store(checkpoint)
+    else:
+        raise StoreError(f"unknown checkpoint kind {kind!r} in {checkpoint.path!r}")
+    options = dict(store=store, control=control, resume_from=checkpoint)
+    try:
+        if kind == "untimed":
+            from .untimed import compiled_reachability_graph
 
-        return _untimed.resume_checkpoint(checkpoint, control=control)
-    if kind in ("gspn", "batched-gspn"):
-        from ..stochastic.gspn import resume_gspn
+            return compiled_reachability_graph(
+                net, max_states=params["max_states"], **options
+            )
+        if kind == "batched-untimed":
+            from .batched import batched_reachability_graph
 
-        return resume_gspn(checkpoint, control=control)
-    if kind == "batched-untimed":
-        from .batched import resume_batched_reachability
+            return batched_reachability_graph(
+                net, max_states=params["max_states"], **options
+            )
+        if kind == "coverability":
+            from .untimed import compiled_coverability_graph
 
-        return resume_batched_reachability(checkpoint, control=control)
-    if kind == "query":
-        from .query import resume_query
+            return compiled_coverability_graph(
+                net, max_nodes=params["max_nodes"], **options
+            )
+        if kind == "query":
+            from .query import _drive_query, _stop_from_spec
 
-        return resume_query(checkpoint, control=control)
-    raise StoreError(f"unknown checkpoint kind {kind!r} in {checkpoint.path!r}")
+            spec = params["spec"]
+            return _drive_query(
+                net,
+                _stop_from_spec(net, spec),
+                params["max_states"],
+                store,
+                control=control,
+                spec=spec,
+                resume_from=checkpoint,
+            )
+        from ..stochastic.gspn import _resume_analysis
+
+        return _resume_analysis(net, **options)
+    finally:
+        # The spool outlives the build (its path is explicit); the SQLite
+        # connections must not.
+        if store is not None:
+            store.close()
 
 
 @contextmanager
@@ -524,8 +588,8 @@ __all__ = [
     "MANIFEST_VERSION",
     "Progress",
     "RunControl",
+    "build_store",
     "cancel_on_sigint",
-    "checkpoint_store",
     "open_checkpoint_store",
     "raise_interrupted",
     "resume",

@@ -567,7 +567,7 @@ class DiskStateStore:
         self.close()
 
 
-def resolve_store(store, *, spill_threshold=None, path=None):
+def resolve_store(store, *, spill_threshold=None):
     """Normalize a public ``store=`` argument into ``(store, owned)``.
 
     ``store`` may be ``None`` (no spilling — the historical in-memory path),
@@ -584,7 +584,7 @@ def resolve_store(store, *, spill_threshold=None, path=None):
         kwargs = {}
         if spill_threshold is not None:
             kwargs["spill_threshold"] = spill_threshold
-        return DiskStateStore(path, **kwargs), True
+        return DiskStateStore(**kwargs), True
     raise ValueError(
         f"store must be None, 'disk' or a DiskStateStore instance, got {store!r}"
     )

@@ -35,7 +35,7 @@ from ..petri.fingerprint import net_cache_key
 from ..petri.marking import Marking
 from ..petri.net import TimedPetriNet
 
-#: Default bound of the shared-tables LRU (distinct net contents held at
+#: Bound of the shared-tables LRU (distinct net contents held at
 #: once).  Tables are small — O(P + T + arcs) plus the per-vector memo that
 #: grows with use — but long-running services churn through many models, so
 #: the memo is LRU-bounded like every other cache in the tree.
@@ -47,7 +47,6 @@ DEFAULT_TABLES_LIMIT = 128
 #: structurally equal nets — two ``sliding_window_net(4)`` calls, a net and
 #: its pickle round-trip — share one compilation and its memo caches.
 _SHARED_TABLES: "OrderedDict[str, NetTables]" = OrderedDict()
-_TABLES_LIMIT: int = DEFAULT_TABLES_LIMIT
 _TABLES_COUNTERS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
@@ -55,7 +54,7 @@ def tables_cache_stats() -> Dict[str, int]:
     """Hit/miss/eviction counters and current size of the shared-tables memo."""
     stats = dict(_TABLES_COUNTERS)
     stats["size"] = len(_SHARED_TABLES)
-    stats["limit"] = _TABLES_LIMIT
+    stats["limit"] = DEFAULT_TABLES_LIMIT
     return stats
 
 
@@ -64,17 +63,6 @@ def clear_shared_tables() -> None:
     _SHARED_TABLES.clear()
     for key in _TABLES_COUNTERS:
         _TABLES_COUNTERS[key] = 0
-
-
-def set_tables_cache_limit(limit: int) -> None:
-    """Re-bound the shared-tables LRU, evicting oldest entries if needed."""
-    global _TABLES_LIMIT
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-        raise ValueError(f"tables cache limit must be a positive integer, got {limit!r}")
-    _TABLES_LIMIT = limit
-    while len(_SHARED_TABLES) > _TABLES_LIMIT:
-        _SHARED_TABLES.popitem(last=False)
-        _TABLES_COUNTERS["evictions"] += 1
 
 
 class NetTables:
@@ -167,7 +155,7 @@ class NetTables:
             _TABLES_COUNTERS["misses"] += 1
             tables = NetTables(net)
             _SHARED_TABLES[key] = tables
-            while len(_SHARED_TABLES) > _TABLES_LIMIT:
+            while len(_SHARED_TABLES) > DEFAULT_TABLES_LIMIT:
                 _SHARED_TABLES.popitem(last=False)
                 _TABLES_COUNTERS["evictions"] += 1
         else:
@@ -347,6 +335,5 @@ __all__ = [
     "DEFAULT_TABLES_LIMIT",
     "NetTables",
     "clear_shared_tables",
-    "set_tables_cache_limit",
     "tables_cache_stats",
 ]

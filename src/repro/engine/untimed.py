@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..exceptions import StoreError
 from ..petri.net import TimedPetriNet
 from .frontier import (
     FrontierStats,
@@ -37,7 +38,7 @@ from .frontier import (
     explore,
     untimed_limits,
 )
-from .runtime import CheckpointWriter, open_checkpoint_store, raise_interrupted
+from .runtime import CheckpointWriter, raise_interrupted
 from .store import DiskStateStore
 from .tables import NetTables
 
@@ -62,12 +63,18 @@ def _make_writer(control, *, kind, net, params, extra, store):
     )
 
 
+def _cursor(resume_from) -> int:
+    """Expansion cursor a build starts from: 0, or the checkpoint's."""
+    return resume_from.cursor if resume_from is not None else 0
+
+
 def compiled_reachability_graph(
     net: TimedPetriNet,
     *,
     max_states: int,
     store: Optional[DiskStateStore] = None,
     control=None,
+    resume_from=None,
 ):
     """Compiled counterpart of :func:`repro.petri.untimed.reachability_graph`.
 
@@ -80,6 +87,12 @@ def compiled_reachability_graph(
     checks at every item boundary and, with a ``checkpoint_dir``, periodic
     resumable checkpoints; an interruption raises
     :class:`~repro.exceptions.BuildInterruptedError`.
+
+    ``resume_from`` (an ``untimed`` :class:`~repro.engine.runtime.Checkpoint`
+    whose reopened spool is ``store``) continues that build: the markings
+    come back from the store's FIFO item log (the log order *is* the
+    interning order), the edges from the manifest, and the frontier loop
+    re-enters at the saved cursor.  See :func:`repro.engine.runtime.resume`.
     """
     # Imported here to avoid a circular import (petri.untimed imports this
     # module from inside its builder functions).
@@ -111,6 +124,12 @@ def compiled_reachability_graph(
             return index, is_new
 
     edge_log: List[Tuple[int, int, int]] = []
+    if resume_from is not None:
+        for item in store.items_range(0, store.item_count):
+            graph._add_marking(tables.to_marking(item[0]))
+        edge_log = [tuple(edge) for edge in resume_from.manifest["extra"]["edges"]]
+        for source, target, transition in edge_log:
+            graph._add_edge(source, target, names[transition])
     writer = _make_writer(
         control,
         kind="untimed",
@@ -140,86 +159,12 @@ def compiled_reachability_graph(
         store=store,
         control=control,
         checkpoint=writer.write if writer is not None else None,
+        start_cursor=_cursor(resume_from),
     )
     graph._build_stats = stats
     if stats.interrupt_reason is not None:
         raise_interrupted(stats, writer, control, "untimed reachability build")
     return graph
-
-
-def resume_checkpoint(checkpoint, *, control=None):
-    """Resume an ``untimed`` or ``coverability`` checkpoint.
-
-    Rebuilds the graph prefix from the durable store's FIFO item log (the
-    log order *is* the interning order, so node numbering is reproduced
-    exactly) plus the manifest's edge list, then re-enters the shared
-    frontier loop at the saved cursor.  Dispatched through
-    :func:`repro.engine.runtime.resume`.
-    """
-    if checkpoint.kind == "untimed":
-        return _resume_reachability(checkpoint, control=control)
-    if checkpoint.kind == "coverability":
-        return _resume_coverability(checkpoint, control=control)
-    raise ValueError(f"not an untimed checkpoint: {checkpoint.kind!r}")
-
-
-def _resume_reachability(checkpoint, *, control=None):
-    from ..petri.untimed import UntimedReachabilityGraph
-
-    manifest = checkpoint.manifest
-    net = checkpoint.restore_net()
-    max_states = manifest["params"]["max_states"]
-    store = open_checkpoint_store(checkpoint)
-    try:
-        tables = NetTables.of(net)
-        graph = UntimedReachabilityGraph(net)
-        names = tables.transition_names
-        for item in store.items_range(0, store.item_count):
-            graph._add_marking(tables.to_marking(item[0]))
-        edge_log: List[Tuple[int, int, int]] = [
-            tuple(edge) for edge in manifest["extra"]["edges"]
-        ]
-        for source, target, transition in edge_log:
-            graph._add_edge(source, target, names[transition])
-        kernel = UntimedKernel(tables)
-
-        def intern(item, _parent: int) -> Tuple[int, bool]:
-            index, is_new = store.intern(item[0])
-            if is_new:
-                graph._add_marking(tables.to_marking(item[0]))
-            return index, is_new
-
-        def on_edge(source: int, target: int, transition: int) -> None:
-            graph._add_edge(source, target, names[transition])
-            edge_log.append((source, target, transition))
-
-        writer = _make_writer(
-            control,
-            kind="untimed",
-            net=net,
-            params={"max_states": max_states},
-            extra=lambda: {"edges": list(edge_log)},
-            store=store,
-        )
-        stats = explore(
-            kernel,
-            intern,
-            on_edge,
-            untimed_limits(max_states),
-            stats=FrontierStats(engine="compiled"),
-            store=store,
-            control=control,
-            checkpoint=writer.write if writer is not None else None,
-            start_cursor=checkpoint.cursor,
-        )
-        graph._build_stats = stats
-        if stats.interrupt_reason is not None:
-            raise_interrupted(stats, writer, control, "untimed reachability build")
-        return graph
-    finally:
-        # The reopened spool outlives the build (its path is explicit), but
-        # the SQLite connections must not outlive this call.
-        store.close()
 
 
 class _AncestorArchive:
@@ -358,6 +303,7 @@ def compiled_coverability_graph(
     max_nodes: int,
     store: Optional[DiskStateStore] = None,
     control=None,
+    resume_from=None,
 ):
     """Compiled counterpart of :func:`repro.petri.untimed.coverability_graph`.
 
@@ -368,6 +314,11 @@ def compiled_coverability_graph(
     deadline/cancellation checks and resumable checkpoints; the manifest
     carries the BFS-tree parent chain the ω-acceleration rule walks, so a
     resumed construction accelerates exactly like an uninterrupted one.
+
+    ``resume_from`` (a ``coverability`` checkpoint whose reopened spool is
+    ``store``) continues that construction: nodes from the store's item
+    log, edges and the parent chain from the manifest, then the frontier
+    loop from the saved cursor.
     """
     from ..petri.untimed import OMEGA, CoverabilityGraph, CoverabilityNode, UntimedEdge
 
@@ -401,6 +352,22 @@ def compiled_coverability_graph(
             return index, is_new
 
     edge_log: List[Tuple[int, int, int]] = []
+    if resume_from is not None:
+        parents: List[int] = list(resume_from.manifest["extra"]["parents"])
+        if len(parents) != store.item_count:
+            # The writer persists the store and the parent chain in the same
+            # checkpoint, so a mismatch means the spool does not belong to
+            # this manifest.
+            raise StoreError(
+                f"coverability checkpoint parent chain covers {len(parents)} nodes "
+                f"but the store logs {store.item_count} items"
+            )
+        kernel.parent_of = parents
+        for vec in store.items_range(0, store.item_count):
+            graph._add_node(CoverabilityNode(tuple(float(v) for v in vec)))
+        edge_log = [tuple(edge) for edge in resume_from.manifest["extra"]["edges"]]
+        for source, target, transition in edge_log:
+            graph.edges.append(UntimedEdge(source, target, names[transition]))
     writer = _make_writer(
         control,
         kind="coverability",
@@ -430,6 +397,7 @@ def compiled_coverability_graph(
         store=store,
         control=control,
         checkpoint=writer.write if writer is not None else None,
+        start_cursor=_cursor(resume_from),
     )
     graph._build_stats = stats
     if stats.interrupt_reason is not None:
@@ -437,78 +405,7 @@ def compiled_coverability_graph(
     return graph
 
 
-def _resume_coverability(checkpoint, *, control=None):
-    from ..petri.untimed import OMEGA, CoverabilityGraph, CoverabilityNode, UntimedEdge
-
-    manifest = checkpoint.manifest
-    net = checkpoint.restore_net()
-    max_nodes = manifest["params"]["max_nodes"]
-    store = open_checkpoint_store(checkpoint)
-    try:
-        parents: List[int] = list(manifest["extra"]["parents"])
-        if len(parents) != store.item_count:
-            # The writer persists the store and the parent chain in the same
-            # checkpoint, so a mismatch means the spool does not belong to
-            # this manifest.
-            from ..exceptions import StoreError
-
-            raise StoreError(
-                f"coverability checkpoint parent chain covers {len(parents)} nodes "
-                f"but the store logs {store.item_count} items"
-            )
-        tables = NetTables.of(net)
-        graph = CoverabilityGraph(net)
-        names = tables.transition_names
-        kernel = _CoverabilityKernel(tables, OMEGA, store)
-        kernel.parent_of = parents
-        for vec in store.items_range(0, store.item_count):
-            graph._add_node(CoverabilityNode(tuple(float(v) for v in vec)))
-        edge_log: List[Tuple[int, int, int]] = [
-            tuple(edge) for edge in manifest["extra"]["edges"]
-        ]
-        for source, target, transition in edge_log:
-            graph.edges.append(UntimedEdge(source, target, names[transition]))
-
-        def intern(vec: tuple, parent: int) -> Tuple[int, bool]:
-            index, is_new = store.intern(vec)
-            if is_new:
-                graph._add_node(CoverabilityNode(tuple(float(v) for v in vec)))
-                kernel.register(vec, parent)
-            return index, is_new
-
-        def on_edge(source: int, target: int, transition: int) -> None:
-            graph.edges.append(UntimedEdge(source, target, names[transition]))
-            edge_log.append((source, target, transition))
-
-        writer = _make_writer(
-            control,
-            kind="coverability",
-            net=net,
-            params={"max_nodes": max_nodes},
-            extra=lambda: {"edges": list(edge_log), "parents": list(kernel.parent_of)},
-            store=store,
-        )
-        stats = explore(
-            kernel,
-            intern,
-            on_edge,
-            coverability_limits(max_nodes),
-            stats=FrontierStats(engine="compiled"),
-            store=store,
-            control=control,
-            checkpoint=writer.write if writer is not None else None,
-            start_cursor=checkpoint.cursor,
-        )
-        graph._build_stats = stats
-        if stats.interrupt_reason is not None:
-            raise_interrupted(stats, writer, control, "coverability construction")
-        return graph
-    finally:
-        store.close()
-
-
 __all__ = [
     "compiled_coverability_graph",
     "compiled_reachability_graph",
-    "resume_checkpoint",
 ]

@@ -276,36 +276,21 @@ def reachability_graph(
     bit-identically.
     """
     # Imported lazily: repro.engine imports this module's graph classes.
-    from ..engine import ENGINE_BATCHED, ENGINE_COMPILED, check_engine
+    from ..engine import ENGINE_COMPILED, ENGINE_REFERENCE, check_engine
     from ..engine.batched import batched_reachability_graph
-    from ..engine.runtime import checkpoint_store
-    from ..engine.store import resolve_store
+    from ..engine.runtime import build_store
     from ..engine.untimed import compiled_reachability_graph
 
     check_engine(engine)
-    if store is not None and engine not in (ENGINE_COMPILED, ENGINE_BATCHED):
-        raise ValueError(
-            "store= is only supported by the frontier-core engines "
-            "('compiled' and 'batched')"
+    resolved, owned = build_store(
+        engine, store, spill_threshold=spill_threshold, control=control
+    )
+    if engine != ENGINE_REFERENCE:
+        builder = (
+            compiled_reachability_graph
+            if engine == ENGINE_COMPILED
+            else batched_reachability_graph
         )
-    if control is not None and engine not in (ENGINE_COMPILED, ENGINE_BATCHED):
-        raise ValueError(
-            "control= is only supported by the frontier-core engines "
-            "('compiled' and 'batched')"
-        )
-    if engine in (ENGINE_COMPILED, ENGINE_BATCHED):
-        if engine == ENGINE_COMPILED:
-            # Checkpoints of the scalar engine are store spools, so a
-            # checkpointing control anchors the store in its directory.
-            resolved, owned = checkpoint_store(
-                control, store, spill_threshold=spill_threshold
-            )
-            builder = compiled_reachability_graph
-        else:
-            # Batched checkpoints are manifest-only; the store stays a pure
-            # memory-bounding device.
-            resolved, owned = resolve_store(store, spill_threshold=spill_threshold)
-            builder = batched_reachability_graph
         try:
             return builder(net, max_states=max_states, store=resolved, control=control)
         finally:
@@ -471,23 +456,14 @@ def coverability_graph(
         SCALAR_ENGINES,
         check_engine,
     )
-    from ..engine.runtime import checkpoint_store
+    from ..engine.runtime import build_store
     from ..engine.untimed import compiled_coverability_graph
 
     check_engine(engine, supported=SCALAR_ENGINES, reason=COVERABILITY_UNSUPPORTED_REASON)
-    if store is not None and engine != ENGINE_COMPILED:
-        raise ValueError(
-            "store= is only supported by the frontier-core engines "
-            "('compiled' and 'batched')"
-        )
-    if control is not None and engine != ENGINE_COMPILED:
-        raise ValueError(
-            "control= is only supported by the compiled coverability engine"
-        )
+    resolved, owned = build_store(
+        engine, store, spill_threshold=spill_threshold, control=control
+    )
     if engine == ENGINE_COMPILED:
-        resolved, owned = checkpoint_store(
-            control, store, spill_threshold=spill_threshold
-        )
         try:
             return compiled_coverability_graph(
                 net, max_nodes=max_nodes, store=resolved, control=control

@@ -30,12 +30,11 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..engine import ENGINE_BATCHED, ENGINE_COMPILED, check_engine
+from ..engine import ENGINE_BATCHED, ENGINE_COMPILED, ENGINE_REFERENCE, check_engine
 from ..engine.batched import batched_marking_graph
-from ..engine.runtime import checkpoint_store
-from ..engine.store import resolve_store
+from ..engine.runtime import build_store
 from ..engine.gspn import compiled_marking_graph
-from ..exceptions import NotErgodicError, PerformanceError, StoreError, UnboundedNetError
+from ..exceptions import NotErgodicError, PerformanceError, UnboundedNetError
 from ..petri.marking import Marking
 from ..petri.net import TimedPetriNet
 from ..symbolic.linexpr import LinExpr
@@ -112,8 +111,7 @@ class GSPNAnalysis:
         frontier-core engines (``"compiled"`` and ``"batched"``); an
         interrupted exploration raises
         :class:`~repro.exceptions.BuildInterruptedError` whose checkpoint
-        :func:`resume_gspn` (or :func:`repro.engine.runtime.resume`)
-        completes bit-identically.
+        :func:`repro.engine.runtime.resume` completes bit-identically.
     """
 
     def __init__(
@@ -131,16 +129,9 @@ class GSPNAnalysis:
         if net.is_symbolic:
             raise PerformanceError("GSPN analysis requires a numeric net; bind symbols first")
         check_engine(engine)
-        if store is not None and engine not in (ENGINE_COMPILED, ENGINE_BATCHED):
-            raise ValueError(
-                "store= is only supported by the frontier-core engines "
-                "('compiled' and 'batched')"
-            )
-        if control is not None and engine not in (ENGINE_COMPILED, ENGINE_BATCHED):
-            raise ValueError(
-                "control= is only supported by the frontier-core engines "
-                "('compiled' and 'batched')"
-            )
+        if engine == ENGINE_REFERENCE:
+            # Reject store=/control= at construction, not at the first solve().
+            build_store(engine, store, control=control)
         self.net = net
         self.max_states = max_states
         self.place_capacity = place_capacity
@@ -172,51 +163,49 @@ class GSPNAnalysis:
     # Marking graph exploration
     # ------------------------------------------------------------------
 
-    def _explore(self):
+    def _explore(self, *, store=None, resume_from=None):
         """Build the marking graph: ``(markings, edges, vanishing)``.
 
         Dispatches on the ``engine`` selected at construction; all backends
         return bit-identical results (see ``tests/engine_diff.py``).  A
-        resumed analysis (see :func:`resume_gspn`) returns its cached
-        exploration instead of re-building.
+        resumed analysis (see :func:`repro.engine.runtime.resume`) returns
+        its cached exploration instead of re-building; it was explored by
+        passing the checkpoint as ``resume_from`` with its reopened
+        ``store``.
         """
         if self._exploration is not None:
             return self._exploration
-        if self.engine in (ENGINE_COMPILED, ENGINE_BATCHED):
-            if self.engine == ENGINE_COMPILED:
-                builder = compiled_marking_graph
-                # A checkpointing control needs the durable spool anchored
-                # inside the checkpoint directory; without one this is a
-                # plain resolve_store.
-                store, owned = checkpoint_store(
-                    self.control, self.store, spill_threshold=self.spill_threshold
-                )
-            else:
-                builder = batched_marking_graph
-                # Batched checkpoints are manifest-only snapshots; the store
-                # stays a pure memory-bounding device.
-                store, owned = resolve_store(
-                    self.store, spill_threshold=self.spill_threshold
-                )
-            stats_sink: list = []
-            try:
-                result = builder(
-                    self.net,
-                    immediate=self._immediate,
-                    weights=self._weights,
-                    rates=self._rates,
-                    max_states=self.max_states,
-                    place_capacity=self.place_capacity,
-                    stats_sink=stats_sink,
-                    store=store,
-                    control=self.control,
-                )
-            finally:
-                if owned:
-                    store.close()
-                self._build_stats = stats_sink[0] if stats_sink else None
-            return result
-        return self._explore_reference()
+        if self.engine == ENGINE_REFERENCE:
+            return self._explore_reference()
+        owned = False
+        if resume_from is None:
+            store, owned = build_store(
+                self.engine,
+                self.store,
+                spill_threshold=self.spill_threshold,
+                control=self.control,
+            )
+        builder = (
+            compiled_marking_graph
+            if self.engine == ENGINE_COMPILED
+            else batched_marking_graph
+        )
+        try:
+            markings, edges, vanishing, self._build_stats = builder(
+                self.net,
+                immediate=self._immediate,
+                weights=self._weights,
+                rates=self._rates,
+                max_states=self.max_states,
+                place_capacity=self.place_capacity,
+                store=store,
+                control=self.control,
+                resume_from=resume_from,
+            )
+        finally:
+            if owned:
+                store.close()
+        return markings, edges, vanishing
 
     def build_stats(self):
         """The exploration's :class:`~repro.engine.frontier.FrontierStats`.
@@ -367,33 +356,15 @@ class GSPNAnalysis:
         )
 
 
-def resume_gspn(checkpoint, *, control=None) -> GSPNAnalysis:
-    """Resume an interrupted GSPN exploration from its checkpoint.
-
-    Accepts ``gspn`` (compiled) and ``batched-gspn`` checkpoints and
-    returns a :class:`GSPNAnalysis` whose marking graph is the completed —
-    bit-identical — exploration; call :meth:`GSPNAnalysis.solve` on it as
-    usual.  Dispatched through :func:`repro.engine.runtime.resume`.
-    """
-    from ..engine.batched import resume_batched_marking
-    from ..engine.gspn import resume_marking_graph
-
-    kind = checkpoint.kind
-    if kind == "gspn":
-        resumer, engine = resume_marking_graph, ENGINE_COMPILED
-    elif kind == "batched-gspn":
-        resumer, engine = resume_batched_marking, ENGINE_BATCHED
-    else:
-        raise StoreError(f"not a GSPN checkpoint: kind {kind!r}")
-    net = checkpoint.restore_net()
-    params = checkpoint.manifest["params"]
-    stats_sink: list = []
-    exploration = resumer(checkpoint, control=control, stats_sink=stats_sink)
+def _resume_analysis(net, *, store, control, resume_from) -> GSPNAnalysis:
+    """The analysis a ``gspn``/``batched-gspn`` checkpoint continues, with
+    its exploration completed (called by :func:`repro.engine.runtime.resume`)."""
+    params = resume_from.manifest["params"]
     analysis = GSPNAnalysis(
         net,
         max_states=params["max_states"],
         place_capacity=params["place_capacity"],
-        engine=engine,
+        engine=ENGINE_BATCHED if resume_from.kind == "batched-gspn" else ENGINE_COMPILED,
         control=control,
     )
     # The checkpointed immediate/weight/rate maps override the defaults the
@@ -402,8 +373,7 @@ def resume_gspn(checkpoint, *, control=None) -> GSPNAnalysis:
     analysis._immediate = dict(params["immediate"])
     analysis._weights = dict(params["weights"])
     analysis._rates = dict(params["rates"])
-    analysis._build_stats = stats_sink[0] if stats_sink else None
-    analysis._exploration = exploration
+    analysis._exploration = analysis._explore(store=store, resume_from=resume_from)
     return analysis
 
 

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from repro.cli import main
-from repro.exceptions import NetDefinitionError
+from repro.engine.query import find_deadlock
+from repro.exceptions import BuildInterruptedError, NetDefinitionError
+from repro.petri import coverability_graph, reachability_graph
 from repro.petri.io import (
     dumps,
     load,
@@ -20,8 +22,9 @@ from repro.petri.io import (
     save,
     save_pnml,
 )
-from repro.protocols import simple_protocol_net, simple_protocol_symbolic
+from repro.protocols import go_back_n_net, simple_protocol_net, simple_protocol_symbolic
 from repro.reachability import decision_graph, timed_reachability_graph
+from repro.stochastic import GSPNAnalysis
 from repro.symbolic import LinExpr, time_symbol
 from repro.viz import (
     ComparisonRow,
@@ -323,3 +326,93 @@ class TestCli:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["analyze", "--model", "no-such-model"])
+
+
+def _go_back_n():
+    return go_back_n_net(2, loss_probability=Fraction(1, 10))
+
+
+def _summary(output: str) -> dict:
+    """The ``key: value`` lines of a CLI summary block."""
+    pairs = (line.split(":", 1) for line in output.splitlines() if ":" in line)
+    return {key.strip(): value.strip() for key, value in pairs}
+
+
+class TestCliResume:
+    """``repro-tpn resume`` completes a checkpoint of every kind."""
+
+    #: Every checkpoint kind, built through the API on go-back-n.
+    BUILDS = {
+        "untimed": lambda net, control: reachability_graph(net, control=control),
+        "batched-untimed": lambda net, control: reachability_graph(
+            net, engine="batched", control=control
+        ),
+        "coverability": lambda net, control: coverability_graph(net, control=control),
+        "gspn": lambda net, control: GSPNAnalysis(
+            net, engine="compiled", control=control
+        )._explore(),
+        "batched-gspn": lambda net, control: GSPNAnalysis(
+            net, engine="batched", control=control
+        )._explore(),
+        "query": lambda net, control: find_deadlock(net, control=control),
+    }
+
+    @staticmethod
+    def _interrupt(tmp_path, kind) -> str:
+        from repro.engine.faults import SteppingClock
+        from repro.engine.runtime import RunControl
+
+        checkpoint_dir = str(tmp_path / "ckpt")
+        control = RunControl(
+            deadline=2.0, checkpoint_dir=checkpoint_dir, clock=SteppingClock()
+        )
+        with pytest.raises(BuildInterruptedError):
+            TestCliResume.BUILDS[kind](_go_back_n(), control)
+        return checkpoint_dir
+
+    @staticmethod
+    def _assert_cold_output(kind, output):
+        if kind == "query":
+            cold = find_deadlock(_go_back_n())
+            assert not cold.found
+            assert (
+                f"answer: no (exhausted all {cold.states_explored} reachable markings)"
+                in output
+            )
+            return
+        summary = _summary(output)
+        assert summary["kind"] == kind
+        assert summary.get("states", summary.get("markings")) == "38"
+        assert summary["edges"] == "82"
+
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_resume_prints_cold_result(self, tmp_path, capsys, kind):
+        checkpoint_dir = self._interrupt(tmp_path, kind)
+        assert main(["resume", checkpoint_dir]) == 0
+        self._assert_cold_output(kind, capsys.readouterr().out)
+
+    def test_deadline_resume_checkpoints_in_place(self, tmp_path, capsys, monkeypatch):
+        # An expired `resume --deadline` must re-checkpoint into the
+        # directory it came from, or every later resume redoes the same work.
+        import repro.engine
+        from repro.engine.faults import SteppingClock
+        from repro.engine.runtime import Checkpoint, RunControl
+
+        checkpoint_dir = self._interrupt(tmp_path, "untimed")
+        cursor = Checkpoint.load(checkpoint_dir).cursor
+        monkeypatch.setattr(
+            repro.engine,
+            "RunControl",
+            lambda **options: RunControl(clock=SteppingClock(), **options),
+        )
+        for _ in range(3):
+            assert main(["resume", checkpoint_dir, "--deadline", "2"]) == 2
+            assert f"resume with: repro-tpn resume {checkpoint_dir}" in (
+                capsys.readouterr().out
+            )
+            advanced = Checkpoint.load(checkpoint_dir).cursor
+            assert advanced > cursor
+            cursor = advanced
+        monkeypatch.undo()
+        assert main(["resume", checkpoint_dir]) == 0
+        self._assert_cold_output("untimed", capsys.readouterr().out)

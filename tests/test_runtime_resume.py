@@ -69,6 +69,48 @@ BOUNDED_IDS = [label for label, _constructor in BOUNDED_WORKLOADS]
 EXPIRE_POINTS = (2, 6)
 
 
+def _explored_gspn(net, *, control=None, **options):
+    """A GSPN analysis whose marking graph has been explored."""
+    analysis = GSPNAnalysis(net, control=control, **options)
+    analysis._explore()
+    return analysis
+
+
+def _assert_same_query_answer(resumed, cold):
+    assert (resumed.found, resumed.states_explored, resumed.path) == (
+        cold.found,
+        cold.states_explored,
+        cold.path,
+    )
+
+
+#: Every resumable kind besides compiled untimed reachability (which
+#: ``TestCrashResume`` sweeps on every workload): the build as a function
+#: of ``(net, control)`` and the exact comparison of resumed vs cold.
+CRASH_KINDS = {
+    "coverability": (
+        lambda net, control: coverability_graph(net, engine="compiled", control=control),
+        assert_coverability_graphs_identical,
+    ),
+    "batched-untimed": (
+        lambda net, control: reachability_graph(net, engine="batched", control=control),
+        assert_untimed_graphs_identical,
+    ),
+    "gspn": (
+        lambda net, control: _explored_gspn(net, engine="compiled", control=control),
+        assert_gspn_explorations_identical,
+    ),
+    "batched-gspn": (
+        lambda net, control: _explored_gspn(net, engine="batched", control=control),
+        assert_gspn_explorations_identical,
+    ),
+    "query": (
+        lambda net, control: find_deadlock(net, control=control),
+        _assert_same_query_answer,
+    ),
+}
+
+
 def test_deadline_interrupt_without_checkpoint_dir_is_not_resumable():
     net = dict(NUMERIC_WORKLOADS)["token-ring"]()
     control = RunControl(deadline=2.0, clock=SteppingClock())
@@ -138,6 +180,49 @@ class TestDeadlineResume:
         assert interrupted
         assert_gspn_explorations_identical(resumed, GSPNAnalysis(net, engine=engine))
 
+    @pytest.mark.parametrize("engine", ["compiled", "batched"])
+    def test_gspn_rates_and_capacity(self, tmp_path, engine):
+        # Explicit rates= overrides and place_capacity= reach the resumed
+        # analysis only through the manifest.  On the paper protocol the
+        # capacity truncates an otherwise unbounded marking graph and the
+        # override changes every throughput.
+        net = dict(NUMERIC_WORKLOADS)["paper-protocol"]()
+        options = dict(engine=engine, rates={"t1": 2.0}, place_capacity=1)
+        resumed, interrupted = interrupt_and_resume(
+            lambda control: _explored_gspn(net, control=control, **options),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            expire_after=2,
+        )
+        assert interrupted
+        cold = GSPNAnalysis(net, **options)
+        assert_gspn_explorations_identical(resumed, cold)
+        assert resumed.solve().throughput == cold.solve().throughput
+
+    @pytest.mark.parametrize("engine", ["compiled", "batched"])
+    def test_untimed_with_disk_store(self, tmp_path, engine):
+        # store= combined with a checkpointing control: the compiled build
+        # anchors its spool inside the checkpoint directory, the batched
+        # build records the store in its manifest-only checkpoint.
+        net = dict(NUMERIC_WORKLOADS)["go-back-n"]()
+        checkpoint_dir = str(tmp_path / "ckpt")
+        resumed, interrupted = interrupt_and_resume(
+            lambda control: reachability_graph(
+                net, engine=engine, store="disk", spill_threshold=0, control=control
+            ),
+            checkpoint_dir=checkpoint_dir,
+            expire_after=2,
+        )
+        assert interrupted
+        assert_untimed_graphs_identical(resumed, reachability_graph(net, engine=engine))
+        manifest = Checkpoint.load(checkpoint_dir).manifest
+        if engine == "batched":
+            assert manifest["params"]["used_store"]
+            assert manifest["params"]["spill_threshold"] == 0
+        else:
+            assert manifest["store_path"] == os.path.abspath(
+                os.path.join(checkpoint_dir, "store")
+            )
+
 
 class TestCrashResume:
     """Hard crashes between periodic checkpoints lose work, never results."""
@@ -171,6 +256,19 @@ class TestCrashResume:
         assert_untimed_graphs_identical(
             resumed, reachability_graph(net, engine="compiled")
         )
+
+    @pytest.mark.parametrize("kind", sorted(CRASH_KINDS))
+    def test_every_kind(self, tmp_path, kind):
+        net = dict(NUMERIC_WORKLOADS)["go-back-n"]()
+        build, assert_identical = CRASH_KINDS[kind]
+        checkpoint_dir = str(tmp_path / "ckpt")
+        resumed = crash_and_resume(
+            lambda control: build(net, control),
+            checkpoint_dir=checkpoint_dir,
+            crash_at=7,
+        )
+        assert Checkpoint.load(checkpoint_dir).kind == kind
+        assert_identical(resumed, build(net, None))
 
     @settings(
         max_examples=8,
